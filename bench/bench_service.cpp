@@ -165,12 +165,10 @@ PassResult run_pass(service::Server& server,
             // Round-robin by global request index: path, round-ufp,
             // round-sap. Certificates are a single-round concept, so the
             // mixed pass never requests them.
-            const std::size_t slot = (c * requests_per_client + r) % 3;
-            request.kind = slot == 0
-                               ? service::SolveRequest::Kind::kPath
-                               : slot == 1
-                                     ? service::SolveRequest::Kind::kRoundUfp
-                                     : service::SolveRequest::Kind::kRoundSap;
+            using Kind = service::SolveRequest::Kind;
+            constexpr Kind kinds[] = {Kind::kPath, Kind::kRoundUfp,
+                                      Kind::kRoundSap};
+            request.kind = kinds[(c * requests_per_client + r) % 3];
           }
           request.eps = 0.5;
           request.seed = inst.seed;

@@ -3,39 +3,22 @@
 // parallel generator sweep and emit a JSON batch report — or run / talk to
 // the sapd solver service.
 //
-// Usage:
-//   sapkit_cli solve   [--algo full|uniform|small|medium|large] [--eps X]
-//                      [--seed N] [file]
-//   sapkit_cli exact   [file]            # profile-DP oracle
-//   sapkit_cli bound   [file]            # LP upper bound on OPT
-//   sapkit_cli round   [--kind round-ufp|round-sap] [--algo full|exact]
-//                      [file]            # min-round packing of all tasks
-//   sapkit_cli gen     [--edges M] [--tasks N] [--seed S] [--nba]
-//   sapkit_cli batch   [--count N] [--seed S] [--threads T] [--edges M]
-//                      [--tasks N] [--profile P] [--demand D] [--eps X]
-//                      [--ring] [--kind round-ufp|round-sap] [--no-timings]
-//                      [--cases] [--out FILE]
-//   sapkit_cli serve   [--host H] [--port P] [--threads T] [--queue Q]
-//                      [--shards S] [--cache-entries C]
-//                      [--cache-persist-path FILE]
-//                      [--default-deadline-ms B]
-//   sapkit_cli request [--host H] [--port P] [--stats] [--ring]
-//                      [--kind path|ring|round-ufp|round-sap] [--certify]
-//                      [--cert-out FILE] [--algo A] [--eps X] [--seed N]
-//                      [--deadline-ms B] [file]
-//   sapkit_cli certify --solution SOL [--cert CERT] [--ring] [file]
+// Usage: run without arguments (print_usage below). `solve`, `round` and
+// `request` share one request path: the first two run it in-process through
+// the sapd workload table, `request` sends it to a running sapd, and the
+// output is byte-identical either way.
 //
 // `certify` with --cert validates an existing certificate against the
 // instance + solution through the independent checker; without --cert it
 // produces a fresh certificate (written to stdout or --cert-out), then
-// self-checks it. `solve --certify` and `batch --certify` certify solver
-// output inline; `request --certify` asks the server for a certificate and
-// re-checks it client-side.
+// self-checks it. `solve|round|request --certify` ask the workload pipeline
+// for a certificate and re-check it through the same checker;
+// `batch --certify` certifies inline.
 //
 // Exit codes: 0 success, 1 runtime failure (unreadable file, infeasible
-// output, connection refused, typed server rejection, invalid or
-// unverifiable certificate), 2 usage error (unknown subcommand, unknown
-// flag, missing or malformed flag value).
+// output, connection refused, a request the workload rejects — bad
+// instance or unknown algo —, invalid or unverifiable certificate), 2 usage
+// error (unknown subcommand, flag or kind, missing or malformed flag value).
 //
 // Instances use the sap-path v1 text format (see src/io/instance_io.hpp).
 // Batch reports use the sapkit-batch-v1 JSON schema (see docs/ALGORITHMS.md).
@@ -47,23 +30,17 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "src/cert/certify.hpp"
-#include "src/core/sap_solver.hpp"
-#include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/lp/ufpp_lp.hpp"
-#include "src/model/verify.hpp"
-#include "src/round/approx.hpp"
-#include "src/round/exact.hpp"
-#include "src/round/verify.hpp"
-#include "src/sapu/sapu_solver.hpp"
 #include "src/service/client.hpp"
 #include "src/service/server.hpp"
+#include "src/service/workload.hpp"
 
 namespace {
 
@@ -76,24 +53,27 @@ struct UsageError : std::runtime_error {
 };
 
 void print_usage(std::ostream& os) {
-  os << "usage: sapkit_cli "
-        "solve|exact|bound|round|gen|batch|serve|request [options] [file]\n"
-        "  solve   --algo full|uniform|small|medium|large --eps X --seed N\n"
-        "          [--certify] [--cert-out FILE]\n"
-        "  round   [--kind round-ufp|round-sap] [--algo full|exact] [file]\n"
+  const std::string kinds = service::workload_names();
+  os << "usage: sapkit_cli <subcommand> [options] [file]\n"
+        "  solve   [--kind "
+     << kinds
+     << "] [--ring] [--algo A]\n"
+        "          [--eps X] [--seed N] [--deadline-ms B] [--certify]\n"
+        "          [--cert-out FILE] [file]\n"
+        "  round   as solve; --kind defaults to round-ufp\n"
+        "  request --host H --port P, then --stats or the solve flags\n"
+        "  bound   [file]          LP upper bound on OPT\n"
         "  gen     --edges M --tasks N --seed S [--nba]\n"
         "  batch   --count N --seed S --threads T --edges M --tasks N\n"
         "          --profile uniform|valley|mountain|staircase|walk\n"
         "          --demand small|medium|large|mixed --eps X [--certify]\n"
-        "          [--ring] [--kind round-ufp|round-sap] [--no-timings]\n"
-        "          [--cases] [--out FILE]\n"
+        "          [--ring] [--kind "
+     << kinds
+     << "]\n"
+        "          [--no-timings] [--cases] [--out FILE]\n"
         "  serve   --host H --port P --threads T --queue Q\n"
         "          [--shards S] [--cache-entries C]\n"
         "          [--cache-persist-path FILE] [--default-deadline-ms B]\n"
-        "  request --host H --port P [--stats] [--ring] [--certify]\n"
-        "          [--kind path|ring|round-ufp|round-sap]\n"
-        "          [--cert-out FILE] --algo A --eps X --seed N\n"
-        "          [--deadline-ms B] [file]\n"
         "  certify --solution SOL [--cert CERT] [--ring] [file]\n";
 }
 
@@ -103,22 +83,8 @@ int usage_error(const std::string& message) {
   return 2;
 }
 
-PathInstance load(const std::string& path) {
-  if (path.empty() || path == "-") return read_path_instance(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_path_instance(in);
-}
-
-RingInstance load_ring(const std::string& path) {
-  if (path.empty() || path == "-") return read_ring_instance(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_ring_instance(in);
-}
-
-/// Raw text of an instance file; `request` ships it to the server without
-/// parsing so the service-side hardening is what validates it.
+/// Raw text of an instance file ("-" or none = stdin); requests carry it
+/// unparsed, so the workload's reader is what validates it.
 std::string load_text(const std::string& path) {
   std::ostringstream buffer;
   if (path.empty() || path == "-") {
@@ -131,10 +97,11 @@ std::string load_text(const std::string& path) {
   return buffer.str();
 }
 
-std::vector<TaskId> all_ids(const PathInstance& inst) {
-  std::vector<TaskId> ids(inst.num_tasks());
-  std::iota(ids.begin(), ids.end(), TaskId{0});
-  return ids;
+template <typename Instance>
+Instance load(const std::string& path,
+              Instance (*read)(std::istream&, const ReadLimits&)) {
+  std::istringstream is(load_text(path));
+  return read(is, {});
 }
 
 CapacityProfile parse_profile(const std::string& name) {
@@ -300,6 +267,19 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
+using Kind = service::SolveRequest::Kind;
+
+/// `--kind` resolved through the workload table; `fallback` when absent.
+Kind kind_of(const Options& opt, Kind fallback) {
+  if (opt.kind.empty()) return fallback;
+  const service::Workload* workload = service::find_workload(opt.kind);
+  if (workload == nullptr) {
+    throw UsageError("unknown kind: " + opt.kind + " (want " +
+                     service::workload_names() + ")");
+  }
+  return workload->kind;
+}
+
 void write_certificate_to(const std::string& path,
                           const cert::Certificate& c) {
   if (path.empty()) {
@@ -311,12 +291,18 @@ void write_certificate_to(const std::string& path,
   write_certificate(out, c);
 }
 
-/// One-line human summary of a certificate, to stderr.
-void print_cert_summary(const cert::Certificate& c, bool checked) {
+/// Re-checks `c` through the independent checker and prints a one-line
+/// summary to stderr: 0 when it holds, 1 when it is rejected.
+template <typename Inst, typename Sol>
+int check_pair(const Inst& inst, const Sol& sol, const cert::Certificate& c) {
+  const cert::CheckResult check = cert::check_certificate(inst, sol, c);
   std::cerr << "certificate: rung " << cert::ub_rung_name(c.ub.rung)
             << ", weight " << c.solution_weight << ", ub " << c.ub.value
             << ", alpha " << c.alpha_num << "/" << c.alpha_den << ", check "
-            << (checked ? "ok" : "FAILED") << "\n";
+            << (check.valid ? "ok" : "FAILED") << "\n";
+  if (check.valid) return 0;
+  std::cerr << "certificate REJECTED: " << check.reason << "\n";
+  return 1;
 }
 
 /// Shared path/ring body of the `certify` subcommand: validate an existing
@@ -326,29 +312,15 @@ int certify_pair(const Inst& inst, const Sol& sol, const Options& opt) {
   if (!opt.cert_path.empty()) {
     std::ifstream cert_in(opt.cert_path);
     if (!cert_in) throw std::runtime_error("cannot open " + opt.cert_path);
-    const cert::Certificate c = read_certificate(cert_in);
-    const cert::CheckResult check = cert::check_certificate(inst, sol, c);
-    if (!check.valid) {
-      std::cerr << "certificate REJECTED: " << check.reason << "\n";
-      return 1;
-    }
-    print_cert_summary(c, /*checked=*/true);
-    return 0;
+    return check_pair(inst, sol, read_certificate(cert_in));
   }
   const cert::CertifyOutcome outcome = cert::certify_solution(inst, sol);
   if (!outcome.certified) {
     std::cerr << "error: cannot certify: " << outcome.detail << "\n";
     return 1;
   }
-  const cert::CheckResult check =
-      cert::check_certificate(inst, sol, outcome.cert);
   write_certificate_to(opt.cert_out_path, outcome.cert);
-  print_cert_summary(outcome.cert, check.valid);
-  if (!check.valid) {
-    std::cerr << "certificate REJECTED: " << check.reason << "\n";
-    return 1;
-  }
-  return 0;
+  return check_pair(inst, sol, outcome.cert);
 }
 
 int run_certify(const Options& opt) {
@@ -358,53 +330,13 @@ int run_certify(const Options& opt) {
   std::ifstream sol_in(opt.solution_path);
   if (!sol_in) throw std::runtime_error("cannot open " + opt.solution_path);
   if (opt.ring) {
-    const RingInstance inst = load_ring(opt.file);
+    const RingInstance inst = load(opt.file, read_ring_instance);
     const RingSapSolution sol = read_ring_solution(sol_in);
     return certify_pair(inst, sol, opt);
   }
-  const PathInstance inst = load(opt.file);
+  const PathInstance inst = load(opt.file, read_path_instance);
   const SapSolution sol = read_sap_solution(sol_in);
   return certify_pair(inst, sol, opt);
-}
-
-/// `round`: minimum-round packing of ALL tasks (Round-UFP / Round-SAP).
-/// `--algo full` runs the approximation pipeline, `--algo exact` the
-/// branch-and-bound oracle. Output is the round-solution v1 text format.
-int run_round(const Options& opt) {
-  const PathInstance inst = load(opt.file);
-  const round::RoundKind kind =
-      round::parse_round_kind(opt.kind.empty() ? "round-ufp" : opt.kind);
-
-  round::RoundAssignment assignment;
-  if (opt.algo == "full") {
-    round::RoundApproxReport report;
-    assignment = kind == round::RoundKind::kUfp
-                     ? round::solve_round_ufp_approx(inst, {}, &report)
-                     : round::solve_round_sap_approx(inst, {}, &report);
-    std::cerr << "rounds " << assignment.num_rounds() << " ("
-              << report.small_rounds << " small, " << report.large_rounds
-              << " large, lower bound " << report.lower_bound << ")";
-    if (report.slab_arm_won) std::cerr << " [slab arm]";
-    std::cerr << "\n";
-  } else if (opt.algo == "exact") {
-    const round::RoundExactResult exact = round::solve_round_exact(inst, kind);
-    assignment = exact.assignment;
-    std::cerr << "optimum " << exact.rounds
-              << (exact.proven_optimal ? "" : " (upper bound: budget hit)")
-              << ", " << exact.nodes << " nodes\n";
-  } else {
-    throw UsageError("unknown algorithm for round: " + opt.algo +
-                     " (want full|exact)");
-  }
-
-  const VerifyResult check = round::verify_round_assignment(inst, assignment);
-  if (!check) {
-    std::cerr << "INTERNAL ERROR: invalid round assignment: " << check.reason
-              << "\n";
-    return 1;
-  }
-  write_round_assignment(std::cout, assignment);
-  return 0;
 }
 
 int run_serve(const Options& opt) {
@@ -485,31 +417,22 @@ int run_serve(const Options& opt) {
   return 0;
 }
 
-int run_request(const Options& opt) {
-  service::Client client;
-  client.connect(opt.host, opt.port);
+/// A counter of a response's telemetry_json ({"name": value, ...}), or
+/// nullopt when the solve did not record it.
+std::optional<std::int64_t> counter_of(const service::SolveResponse& response,
+                                       const std::string& name) {
+  const std::string key = '"' + name + "\": ";
+  const std::size_t at = response.telemetry_json.find(key);
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoll(response.telemetry_json.substr(at + key.size()));
+}
 
-  if (opt.stats) {
-    std::cout << client.stats_json();
-    return 0;
-  }
-
+/// `solve`, `round` and `request`: one request built from the flags. `solve`
+/// and `round` run it in-process through the workload table, `request`
+/// sends it to sapd; either way the output is the same.
+int run_solve(const Options& opt, Kind default_kind, bool remote) {
   service::SolveRequest request;
-  if (opt.kind.empty()) {
-    request.kind = opt.ring ? service::SolveRequest::Kind::kRing
-                            : service::SolveRequest::Kind::kPath;
-  } else if (opt.kind == "path") {
-    request.kind = service::SolveRequest::Kind::kPath;
-  } else if (opt.kind == "ring") {
-    request.kind = service::SolveRequest::Kind::kRing;
-  } else if (opt.kind == "round-ufp") {
-    request.kind = service::SolveRequest::Kind::kRoundUfp;
-  } else if (opt.kind == "round-sap") {
-    request.kind = service::SolveRequest::Kind::kRoundSap;
-  } else {
-    throw UsageError("unknown kind: " + opt.kind +
-                     " (want path|ring|round-ufp|round-sap)");
-  }
+  request.kind = kind_of(opt, default_kind);
   request.algo = opt.algo;
   request.eps = opt.eps;
   request.seed = opt.seed;
@@ -517,53 +440,74 @@ int run_request(const Options& opt) {
   request.deadline_ms = opt.deadline_ms;
   request.instance_text = load_text(opt.file);
 
-  const service::Client::SolveOutcome outcome = client.solve(request);
+  service::Client::SolveOutcome outcome;
+  if (remote) {
+    service::Client client;
+    client.connect(opt.host, opt.port);
+    outcome = client.solve(request);
+  } else {
+    outcome.ok = true;
+    outcome.response = service::run_workload(request, service::ServerOptions{});
+  }
   if (!outcome.ok) {
     std::cerr << "error: " << service::error_code_name(outcome.error_code)
               << ": " << outcome.error_message << "\n";
     return 1;
   }
-  std::cerr << "weight " << outcome.response.weight << " ("
-            << outcome.response.placed << "/" << outcome.response.total_tasks
-            << " tasks) in " << outcome.response.wall_micros
-            << "us server wall time\n";
-  if (outcome.response.degraded) {
-    std::cerr << "note: deadline expired server-side; result is the "
-                 "budget-capped approximation (skipped: "
-              << (outcome.response.skipped.empty() ? "-"
-                                                   : outcome.response.skipped)
-              << ")\n";
+  const service::SolveResponse& response = outcome.response;
+  std::cerr << "weight " << response.weight << " (" << response.placed << "/"
+            << response.total_tasks << " tasks) in " << response.wall_micros
+            << "us wall time\n";
+  if (response.degraded) {
+    std::cerr << "note: deadline expired; result is the budget-capped "
+                 "approximation (skipped: "
+              << (response.skipped.empty() ? "-" : response.skipped) << ")\n";
   }
-  if (outcome.response.is_round) {
-    std::cerr << "rounds " << outcome.response.rounds << "\n";
+  if (const auto nodes = counter_of(response, "round.exact.nodes")) {
+    std::cerr << "optimum " << response.rounds
+              << (counter_of(response, "round.exact.truncated")
+                      ? " (upper bound: budget hit)"
+                      : "")
+              << ", " << *nodes << " nodes\n";
+  } else if (const auto bound = counter_of(response, "round.lower_bound")) {
+    std::cerr << "rounds " << response.rounds << " ("
+              << counter_of(response, "round.small_rounds").value_or(0)
+              << " small, "
+              << counter_of(response, "round.large_rounds").value_or(0)
+              << " large, lower bound " << *bound << ")"
+              << (counter_of(response, "round.slab_arm_won") ? " [slab arm]"
+                                                             : "")
+              << "\n";
+  } else if (response.is_round) {
+    std::cerr << "rounds " << response.rounds << "\n";
+  }
+  if (request.kind == Kind::kPath && request.algo == "exact" &&
+      counter_of(response, "dp.truncated")) {
+    std::cerr << "note: optimum not proven (lower bound: beam cap hit)\n";
   }
   if (opt.certify) {
-    // Trust, but verify: re-check the server's certificate locally through
-    // the independent checker before reporting success.
-    if (outcome.response.certificate_text.empty()) {
-      std::cerr << "error: server returned no certificate (pre-certification "
-                   "server, or the solve was not certifiable)\n";
+    // Trust, but verify: re-check the certificate through the independent
+    // checker before reporting success.
+    if (response.certificate_text.empty()) {
+      std::cerr << "error: no certificate (the solve was not certifiable)\n";
       return 1;
     }
-    std::istringstream cert_is(outcome.response.certificate_text);
+    std::istringstream cert_is(response.certificate_text);
     const cert::Certificate c = read_certificate(cert_is);
     std::istringstream inst_is(request.instance_text);
-    std::istringstream sol_is(outcome.response.solution_text);
-    const cert::CheckResult check =
-        opt.ring ? cert::check_certificate(read_ring_instance(inst_is),
-                                           read_ring_solution(sol_is), c)
-                 : cert::check_certificate(read_path_instance(inst_is),
-                                           read_sap_solution(sol_is), c);
-    print_cert_summary(c, check.valid);
-    if (!check.valid) {
-      std::cerr << "certificate REJECTED: " << check.reason << "\n";
-      return 1;
-    }
+    std::istringstream sol_is(response.solution_text);
+    const int rejected =
+        request.kind == Kind::kRing
+            ? check_pair(read_ring_instance(inst_is),
+                         read_ring_solution(sol_is), c)
+            : check_pair(read_path_instance(inst_is),
+                         read_sap_solution(sol_is), c);
+    if (rejected != 0) return rejected;
     if (!opt.cert_out_path.empty()) {
       write_certificate_to(opt.cert_out_path, c);
     }
   }
-  std::cout << outcome.response.solution_text;
+  std::cout << response.solution_text;
   return 0;
 }
 
@@ -584,9 +528,18 @@ int dispatch(const std::string& command, const Options& opt) {
     return 0;
   }
 
-  if (command == "round") return run_round(opt);
+  if (command == "solve" || (command == "request" && !opt.stats)) {
+    return run_solve(opt, opt.ring ? Kind::kRing : Kind::kPath,
+                     command == "request");
+  }
+  if (command == "round") return run_solve(opt, Kind::kRoundUfp, false);
+  if (command == "request") {
+    service::Client client;
+    client.connect(opt.host, opt.port);
+    std::cout << client.stats_json();
+    return 0;
+  }
   if (command == "serve") return run_serve(opt);
-  if (command == "request") return run_request(opt);
   if (command == "certify") return run_certify(opt);
 
   if (command == "batch") {
@@ -596,18 +549,17 @@ int dispatch(const std::string& command, const Options& opt) {
     options.keep_cases = opt.cases;
 
     BatchCaseFn fn;
-    if (opt.kind == "round-ufp" || opt.kind == "round-sap") {
+    const Kind kind = kind_of(opt, opt.ring ? Kind::kRing : Kind::kPath);
+    if (kind == Kind::kRoundUfp || kind == Kind::kRoundSap) {
       RoundBatchConfig config;
       config.gen.base.num_edges = opt.edges;
       config.gen.base.num_tasks = opt.tasks;
       config.gen.base.profile = parse_profile(opt.profile);
       config.gen.base.demand = parse_demand(opt.demand);
-      config.kind = round::parse_round_kind(opt.kind);
+      config.kind = kind == Kind::kRoundUfp ? round::RoundKind::kUfp
+                                            : round::RoundKind::kSap;
       fn = make_round_batch_case(config);
-    } else if (!opt.kind.empty()) {
-      throw UsageError("unknown batch kind: " + opt.kind +
-                       " (want round-ufp|round-sap)");
-    } else if (opt.ring) {
+    } else if (kind == Kind::kRing) {
       RingBatchConfig config;
       config.gen.num_edges = opt.edges;
       config.gen.num_tasks = opt.tasks;
@@ -644,65 +596,12 @@ int dispatch(const std::string& command, const Options& opt) {
     return 0;
   }
 
-  const PathInstance inst = load(opt.file);
-  if (command == "exact") {
-    const SapExactResult exact = sap_exact_profile_dp(inst);
-    std::cerr << "optimum " << exact.weight
-              << (exact.proven_optimal ? "" : " (lower bound: beam cap hit)")
-              << "\n";
-    write_sap_solution(std::cout, exact.solution);
-    return 0;
-  }
   if (command == "bound") {
-    std::cout << ufpp_lp_upper_bound(inst) << "\n";
+    std::cout << ufpp_lp_upper_bound(load(opt.file, read_path_instance))
+              << "\n";
     return 0;
   }
-  if (command != "solve") throw UsageError("unknown subcommand: " + command);
-
-  SolverParams params;
-  params.eps = opt.eps;
-  params.seed = opt.seed;
-  SapSolution sol;
-  if (opt.algo == "full") {
-    sol = solve_sap(inst, params);
-  } else if (opt.algo == "uniform") {
-    sol = solve_sap_uniform(inst);
-  } else if (opt.algo == "small") {
-    sol = solve_small_tasks(inst, all_ids(inst), params);
-  } else if (opt.algo == "medium") {
-    sol = solve_medium_tasks(inst, all_ids(inst), params);
-  } else if (opt.algo == "large") {
-    sol = solve_large_tasks(inst, all_ids(inst), params);
-  } else {
-    throw UsageError("unknown algorithm: " + opt.algo);
-  }
-  const VerifyResult check = verify_sap(inst, sol);
-  if (!check) {
-    std::cerr << "INTERNAL ERROR: infeasible solution: " << check.reason
-              << "\n";
-    return 1;
-  }
-  std::cerr << "weight " << sol.weight(inst) << " (" << sol.size() << "/"
-            << inst.num_tasks() << " tasks)\n";
-  if (opt.certify) {
-    const cert::CertifyOutcome outcome = cert::certify_solution(inst, sol);
-    if (!outcome.certified) {
-      std::cerr << "error: cannot certify: " << outcome.detail << "\n";
-      return 1;
-    }
-    const cert::CheckResult cert_check =
-        cert::check_certificate(inst, sol, outcome.cert);
-    if (!opt.cert_out_path.empty()) {
-      write_certificate_to(opt.cert_out_path, outcome.cert);
-    }
-    print_cert_summary(outcome.cert, cert_check.valid);
-    if (!cert_check.valid) {
-      std::cerr << "certificate REJECTED: " << cert_check.reason << "\n";
-      return 1;
-    }
-  }
-  write_sap_solution(std::cout, sol);
-  return 0;
+  throw UsageError("unknown subcommand: " + command);
 }
 
 }  // namespace

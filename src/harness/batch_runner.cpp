@@ -59,6 +59,30 @@ double certified_ratio(const cert::Certificate& cert) {
   return std::numeric_limits<double>::infinity();
 }
 
+/// One ladder run: the certificate's bound doubles as the ratio bound.
+template <typename Instance, typename Solution>
+void certify_case(const Instance& inst, const Solution& sol,
+                  const cert::CertifyOptions& options,
+                  const cert::CheckOptions& check, BatchCase* out) {
+  cert::CertifyOutcome outcome;
+  {
+    ScopedTimer timer("batch.certify");
+    outcome = cert::certify_solution(inst, sol, options);
+  }
+  if (!outcome.certified) {
+    out->ratio = std::numeric_limits<double>::quiet_NaN();
+    return;
+  }
+  out->certified = true;
+  out->cert_rung = outcome.cert.ub.rung;
+  out->cert_ratio = certified_ratio(outcome.cert);
+  out->bound = static_cast<double>(outcome.cert.ub.value);
+  out->ratio = out->cert_ratio;
+  ScopedTimer timer("batch.check_cert");
+  out->cert_checked =
+      static_cast<bool>(cert::check_certificate(inst, sol, outcome.cert, check));
+}
+
 }  // namespace
 
 void BatchResumeStore::attach(BatchOptions& options) {
@@ -265,28 +289,12 @@ BatchCaseFn make_path_batch_case(const PathBatchConfig& config) {
     if (!verify_sap(inst, sol)) return out;
     out.feasible = true;
     if (config.certify) {
-      // One ladder run: the certificate's bound doubles as the ratio bound.
       cert::CertifyOptions copts;
       copts.ladder = config.bound.ladder();
-      cert::CertifyOutcome outcome;
-      {
-        ScopedTimer timer("batch.certify");
-        outcome = cert::certify_solution(inst, sol, copts);
-      }
       out.algo_weight = sol.weight(inst);
-      if (outcome.certified) {
-        out.certified = true;
-        out.cert_rung = outcome.cert.ub.rung;
-        out.cert_ratio = certified_ratio(outcome.cert);
-        out.bound = static_cast<double>(outcome.cert.ub.value);
-        out.bound_exact = outcome.cert.ub.rung == cert::UbRung::kExactDp;
-        out.ratio = out.cert_ratio;
-        ScopedTimer timer("batch.check_cert");
-        out.cert_checked = static_cast<bool>(
-            cert::check_certificate(inst, sol, outcome.cert, config.check));
-      } else {
-        out.ratio = std::numeric_limits<double>::quiet_NaN();
-      }
+      certify_case(inst, sol, copts, config.check, &out);
+      out.bound_exact =
+          out.certified && out.cert_rung == cert::UbRung::kExactDp;
       return out;
     }
     ScopedTimer timer("batch.bound");
@@ -338,24 +346,8 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
     if (!verify_ring_sap(ring, sol)) return out;
     out.feasible = true;
     if (config.certify) {
-      cert::CertifyOutcome outcome;
-      {
-        ScopedTimer timer("batch.certify");
-        outcome = cert::certify_solution(ring, sol);
-      }
       out.algo_weight = ring.solution_weight(sol);
-      if (outcome.certified) {
-        out.certified = true;
-        out.cert_rung = outcome.cert.ub.rung;
-        out.cert_ratio = certified_ratio(outcome.cert);
-        out.bound = static_cast<double>(outcome.cert.ub.value);
-        out.ratio = out.cert_ratio;
-        ScopedTimer timer("batch.check_cert");
-        out.cert_checked = static_cast<bool>(
-            cert::check_certificate(ring, sol, outcome.cert, config.check));
-      } else {
-        out.ratio = std::numeric_limits<double>::quiet_NaN();
-      }
+      certify_case(ring, sol, {}, config.check, &out);
     } else if (config.compute_bound) {
       ScopedTimer timer("batch.bound");
       const RatioMeasurement m = measure_ring_ratio(ring, sol);

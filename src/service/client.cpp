@@ -72,6 +72,21 @@ int connect_with_timeout(int fd, const sockaddr* addr, socklen_t addrlen,
   return result;
 }
 
+Client::SolveOutcome served(const std::string& payload) {
+  Client::SolveOutcome outcome;
+  outcome.ok = true;
+  outcome.response = parse_solve_response(payload);
+  return outcome;
+}
+
+Client::SolveOutcome rejected(const ErrorResponse& error, bool local_timeout) {
+  Client::SolveOutcome outcome;
+  outcome.error_code = error.code;
+  outcome.error_message = error.message;
+  outcome.local_timeout = local_timeout;
+  return outcome;
+}
+
 }  // namespace
 
 struct Client::Reply {
@@ -217,17 +232,8 @@ Client::SolveOutcome Client::solve(const SolveRequest& request) {
   Reply reply = round_trip(FrameType::kSolveRequest,
                            encode_solve_request(request),
                            FrameType::kSolveResponse);
-  SolveOutcome outcome;
-  if (reply.is_error) {
-    outcome.ok = false;
-    outcome.error_code = reply.error.code;
-    outcome.error_message = std::move(reply.error.message);
-    outcome.local_timeout = reply.local_timeout;
-    return outcome;
-  }
-  outcome.ok = true;
-  outcome.response = parse_solve_response(reply.payload);
-  return outcome;
+  if (reply.is_error) return rejected(reply.error, reply.local_timeout);
+  return served(reply.payload);
 }
 
 std::vector<Client::SolveOutcome> Client::solve_batch(
@@ -242,25 +248,10 @@ std::vector<Client::SolveOutcome> Client::solve_batch(
                            encode_batch_solve_request(items),
                            FrameType::kBatchSolveResponse);
   if (reply.is_error) {
-    if (!reply.local_timeout && reply.error.code == ErrorCode::kBadRequest &&
-        reply.error.message.find("unknown frame type") != std::string::npos) {
-      // Old server: it answered the probe with a typed error and kept the
-      // connection usable, so fall back to sequential round trips.
-      std::vector<SolveOutcome> outcomes;
-      outcomes.reserve(requests.size());
-      for (const SolveRequest& request : requests) {
-        outcomes.push_back(solve(request));
-      }
-      return outcomes;
-    }
     // Whole-frame rejection (malformed outer envelope, item limit, local
     // timeout): every slot shares the same fate.
-    SolveOutcome failed;
-    failed.ok = false;
-    failed.error_code = reply.error.code;
-    failed.error_message = reply.error.message;
-    failed.local_timeout = reply.local_timeout;
-    return std::vector<SolveOutcome>(requests.size(), failed);
+    return std::vector<SolveOutcome>(
+        requests.size(), rejected(reply.error, reply.local_timeout));
   }
   const std::vector<BatchItemResult> slots =
       parse_batch_solve_response(reply.payload, requests.size());
@@ -271,17 +262,12 @@ std::vector<Client::SolveOutcome> Client::solve_batch(
         std::to_string(requests.size()) + ", got " +
         std::to_string(slots.size()) + ")");
   }
-  std::vector<SolveOutcome> outcomes(requests.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].ok) {
-      outcomes[i].ok = true;
-      outcomes[i].response = parse_solve_response(slots[i].payload);
-    } else {
-      const ErrorResponse error = parse_error_response(slots[i].payload);
-      outcomes[i].ok = false;
-      outcomes[i].error_code = error.code;
-      outcomes[i].error_message = error.message;
-    }
+  std::vector<SolveOutcome> outcomes;
+  outcomes.reserve(slots.size());
+  for (const BatchItemResult& slot : slots) {
+    outcomes.push_back(slot.ok ? served(slot.payload)
+                               : rejected(parse_error_response(slot.payload),
+                                          /*local_timeout=*/false));
   }
   return outcomes;
 }

@@ -84,10 +84,7 @@ class Client {
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request);
 
   /// Sends `requests` as one kBatchSolveRequest frame and returns one
-  /// outcome per request, position-matched. Version negotiation: a server
-  /// that predates batching rejects the frame with BAD_REQUEST "unknown
-  /// frame type", which this method detects and transparently falls back to
-  /// sequential solve() round trips. Any other whole-frame rejection (e.g.
+  /// outcome per request, position-matched. A whole-frame rejection (e.g.
   /// the batch exceeds the server's item limit) is replicated into every
   /// slot. Throws std::runtime_error on transport errors.
   [[nodiscard]] std::vector<SolveOutcome> solve_batch(

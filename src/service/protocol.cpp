@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+
+#include "src/service/workload.hpp"
 
 namespace sap::service {
 namespace {
@@ -29,18 +32,11 @@ class EnvelopeParser {
   explicit EnvelopeParser(std::string_view payload) : rest_(payload) {}
 
   std::string_view take(std::string_view key) {
+    std::string_view value;
+    if (take_if(key, &value)) return value;
     const std::string_view line = next_line(key);
-    if (line.size() < key.size() || line.substr(0, key.size()) != key) {
-      fail(std::string("expected '") + std::string(key) + "' line, got '" +
-           std::string(line.substr(0, 40)) + "'");
-    }
-    std::string_view value = line.substr(key.size());
-    if (!value.empty() && value.front() != ' ') {
-      fail(std::string("expected '") + std::string(key) + "' line, got '" +
-           std::string(line.substr(0, 40)) + "'");
-    }
-    while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-    return value;
+    fail(std::string("expected '") + std::string(key) + "' line, got '" +
+         std::string(line.substr(0, 40)) + "'");
   }
 
   void expect_line(std::string_view literal) {
@@ -53,8 +49,7 @@ class EnvelopeParser {
 
   /// Optional-key variant of take(): consumes and returns the value only if
   /// the next line starts with `key`; otherwise leaves the cursor in place
-  /// and returns false. This is how additive envelope lines stay
-  /// backward-compatible: old peers never emit them, new parsers peek.
+  /// and returns false. Optional envelope lines are read this way.
   bool take_if(std::string_view key, std::string_view* value_out) {
     if (rest_.empty()) return false;
     const std::size_t nl = rest_.find('\n');
@@ -106,34 +101,20 @@ class EnvelopeParser {
   std::string_view rest_;
 };
 
-std::int64_t parse_i64(std::string_view value, const char* what) {
+/// One whole number field; stod reads the hexfloat `eps` exactly.
+template <typename T>
+T parse_as(std::string_view value, const char* what) {
   try {
+    const std::string text(value);
     std::size_t used = 0;
-    const std::int64_t v = std::stoll(std::string(value), &used);
-    if (used != value.size()) throw std::invalid_argument("trailing bytes");
-    return v;
-  } catch (const std::exception&) {
-    EnvelopeParser::fail(std::string("bad ") + what + " '" +
-                         std::string(value.substr(0, 40)) + "'");
-  }
-}
-
-std::uint64_t parse_u64(std::string_view value, const char* what) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(std::string(value), &used);
-    if (used != value.size()) throw std::invalid_argument("trailing bytes");
-    return v;
-  } catch (const std::exception&) {
-    EnvelopeParser::fail(std::string("bad ") + what + " '" +
-                         std::string(value.substr(0, 40)) + "'");
-  }
-}
-
-double parse_f64(std::string_view value, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(value), &used);
+    T v{};
+    if constexpr (std::is_same_v<T, double>) {
+      v = std::stod(text, &used);
+    } else if constexpr (std::is_signed_v<T>) {
+      v = std::stoll(text, &used);
+    } else {
+      v = std::stoull(text, &used);
+    }
     if (used != value.size()) throw std::invalid_argument("trailing bytes");
     return v;
   } catch (const std::exception&) {
@@ -194,20 +175,7 @@ bool decode_frame_header(const unsigned char* in, FrameHeader* out) noexcept {
 std::string encode_solve_request(const SolveRequest& request) {
   std::string payload = "sapd-solve v1\n";
   payload += "kind ";
-  switch (request.kind) {
-    case SolveRequest::Kind::kPath:
-      payload += "path";
-      break;
-    case SolveRequest::Kind::kRing:
-      payload += "ring";
-      break;
-    case SolveRequest::Kind::kRoundUfp:
-      payload += "round-ufp";
-      break;
-    case SolveRequest::Kind::kRoundSap:
-      payload += "round-sap";
-      break;
-  }
+  payload += workload_of(request.kind).name;
   payload += "\nalgo " + request.algo;
   payload += "\neps " + format_f64(request.eps);
   payload += "\nseed " + std::to_string(request.seed);
@@ -225,27 +193,21 @@ SolveRequest parse_solve_request(std::string_view payload) {
   parser.expect_line("sapd-solve v1");
   SolveRequest request;
   const std::string_view kind = parser.take("kind");
-  if (kind == "path") {
-    request.kind = SolveRequest::Kind::kPath;
-  } else if (kind == "ring") {
-    request.kind = SolveRequest::Kind::kRing;
-  } else if (kind == "round-ufp") {
-    request.kind = SolveRequest::Kind::kRoundUfp;
-  } else if (kind == "round-sap") {
-    request.kind = SolveRequest::Kind::kRoundSap;
-  } else {
+  const Workload* workload = find_workload(kind);
+  if (workload == nullptr) {
     EnvelopeParser::fail("bad kind '" + std::string(kind.substr(0, 40)) +
-                         "' (want path|ring|round-ufp|round-sap)");
+                         "' (want " + workload_names() + ")");
   }
+  request.kind = workload->kind;
   request.algo = std::string(parser.take("algo"));
   if (request.algo.empty() || request.algo.size() > 32) {
     EnvelopeParser::fail("bad algo name");
   }
-  request.eps = parse_f64(parser.take("eps"), "eps");
-  request.seed = parse_u64(parser.take("seed"), "seed");
+  request.eps = parse_as<double>(parser.take("eps"), "eps");
+  request.seed = parse_as<std::uint64_t>(parser.take("seed"), "seed");
   std::string_view deadline;
   if (parser.take_if("deadline_ms", &deadline)) {
-    request.deadline_ms = parse_i64(deadline, "deadline_ms");
+    request.deadline_ms = parse_as<std::int64_t>(deadline, "deadline_ms");
     if (request.deadline_ms <= 0) {
       EnvelopeParser::fail("bad deadline_ms '" +
                            std::string(deadline.substr(0, 40)) +
@@ -296,15 +258,16 @@ SolveResponse parse_solve_response(std::string_view payload) {
   EnvelopeParser parser(payload);
   parser.expect_line("sapd-result v1");
   SolveResponse response;
-  response.weight = parse_i64(parser.take("weight"), "weight");
-  response.placed = parse_u64(parser.take("placed"), "placed");
-  response.total_tasks = parse_u64(parser.take("tasks"), "tasks");
-  response.wall_micros = parse_i64(parser.take("wall_micros"), "wall_micros");
+  response.weight = parse_as<std::int64_t>(parser.take("weight"), "weight");
+  response.placed = parse_as<std::uint64_t>(parser.take("placed"), "placed");
+  response.total_tasks = parse_as<std::uint64_t>(parser.take("tasks"), "tasks");
+  response.wall_micros =
+      parse_as<std::int64_t>(parser.take("wall_micros"), "wall_micros");
   response.telemetry_json = std::string(parser.take("telemetry"));
   std::string_view rounds;
   if (parser.take_if("rounds", &rounds)) {
     response.is_round = true;
-    response.rounds = parse_u64(rounds, "rounds");
+    response.rounds = parse_as<std::uint64_t>(rounds, "rounds");
   }
   std::string_view degraded;
   if (parser.take_if("degraded", &degraded)) {
@@ -321,7 +284,7 @@ SolveResponse parse_solve_response(std::string_view payload) {
   }
   std::string_view cert_bytes;
   if (parser.take_if("certificate", &cert_bytes)) {
-    const std::int64_t n = parse_i64(cert_bytes, "certificate byte count");
+    const auto n = parse_as<std::int64_t>(cert_bytes, "certificate byte count");
     if (n < 0) EnvelopeParser::fail("negative certificate byte count");
     response.certificate_text = std::string(
         parser.take_bytes(static_cast<std::size_t>(n), "certificate"));
@@ -350,7 +313,8 @@ std::vector<std::string> parse_batch_solve_request(std::string_view payload,
                                                    std::size_t max_items) {
   EnvelopeParser parser(payload);
   parser.expect_line("sapd-batch v1");
-  const std::int64_t count = parse_i64(parser.take("count"), "batch count");
+  const auto count =
+      parse_as<std::int64_t>(parser.take("count"), "batch count");
   if (count < 1) {
     EnvelopeParser::fail("bad batch count " + std::to_string(count) +
                          " (want at least 1)");
@@ -364,7 +328,7 @@ std::vector<std::string> parse_batch_solve_request(std::string_view payload,
   items.reserve(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) {
     const std::int64_t n =
-        parse_i64(parser.take("request"), "request byte count");
+        parse_as<std::int64_t>(parser.take("request"), "request byte count");
     if (n < 0) EnvelopeParser::fail("negative request byte count");
     items.emplace_back(
         parser.take_bytes(static_cast<std::size_t>(n), "batch request"));
@@ -396,7 +360,8 @@ std::vector<BatchItemResult> parse_batch_solve_response(
     std::string_view payload, std::size_t max_items) {
   EnvelopeParser parser(payload);
   parser.expect_line("sapd-batch-result v1");
-  const std::int64_t count = parse_i64(parser.take("count"), "batch count");
+  const auto count =
+      parse_as<std::int64_t>(parser.take("count"), "batch count");
   if (count < 0) EnvelopeParser::fail("negative batch count");
   if (static_cast<std::uint64_t>(count) > max_items) {
     EnvelopeParser::fail("batch count " + std::to_string(count) +
@@ -414,7 +379,7 @@ std::vector<BatchItemResult> parse_batch_solve_response(
       size_text = parser.take("error");
       item.ok = false;
     }
-    const std::int64_t n = parse_i64(size_text, "item byte count");
+    const auto n = parse_as<std::int64_t>(size_text, "item byte count");
     if (n < 0) EnvelopeParser::fail("negative item byte count");
     item.payload = std::string(
         parser.take_bytes(static_cast<std::size_t>(n), "batch item"));

@@ -31,11 +31,8 @@ inline constexpr std::size_t kDefaultMaxFramePayload = 16u << 20;  // 16 MiB
 enum class FrameType : std::uint32_t {
   kSolveRequest = 1,
   kStatsRequest = 2,
-  /// Version-negotiated batch: one frame carrying N independent solve
-  /// request payloads (a sweep in one round trip). A server that predates
-  /// batching answers the whole frame with a BAD_REQUEST "unknown frame
-  /// type" error and keeps the connection usable, so a new client can fall
-  /// back to sequential kSolveRequest frames.
+  /// One frame carrying N independent solve request payloads (a sweep in
+  /// one round trip).
   kBatchSolveRequest = 3,
   kSolveResponse = 17,
   kStatsResponse = 18,
@@ -72,26 +69,22 @@ void encode_frame_header(unsigned char* out, FrameType type,
 /// A solve request: solver selection (mirroring `sapkit_cli solve`) plus
 /// the instance text in sap-path v1 / sap-ring v1 format.
 struct SolveRequest {
-  /// Version-negotiated problem family. kRoundUfp/kRoundSap ("round-ufp" /
-  /// "round-sap" on the wire) ask for a minimum-round packing of *all*
-  /// tasks of a sap-path v1 instance instead of a max-weight single-round
-  /// selection. A server that predates the round family rejects the unknown
-  /// kind with a typed BAD_REQUEST and keeps the connection usable.
+  /// Problem family; wire names and per-kind behaviour live in the
+  /// workload table (workload.hpp). kRoundUfp/kRoundSap ask for a
+  /// minimum-round packing of *all* tasks of a sap-path v1 instance instead
+  /// of a max-weight single-round selection.
   enum class Kind { kPath, kRing, kRoundUfp, kRoundSap };
   Kind kind = Kind::kPath;
-  /// Path pipelines: full|uniform|small|medium|large. Round kinds accept
-  /// full (approximation) | exact (oracle). Ignored for rings.
+  /// Solver name; each kind's accepted names are in its workload entry.
+  /// Ignored for rings.
   std::string algo = "full";
   double eps = 0.5;
   std::uint64_t seed = 1;
   /// Per-request solve budget in milliseconds; 0 = no client deadline (the
-  /// server may still apply its own default). Version-negotiated like
-  /// `certify`: encoded as an extra "deadline_ms N" line only when nonzero,
-  /// so old peers interoperate unchanged.
+  /// server may still apply its own default). Encoded as an optional
+  /// "deadline_ms N" line, only when nonzero.
   std::int64_t deadline_ms = 0;
-  /// Version-negotiated certificate opt-in: encoded as an extra "certify 1"
-  /// line that clients which predate certification never send, so old
-  /// clients and old servers interoperate unchanged.
+  /// Certificate opt-in, encoded as an optional "certify 1" line.
   bool want_certificate = false;
   std::string instance_text;
 };
@@ -111,16 +104,16 @@ struct SolveResponse {
   std::int64_t wall_micros = 0;
   std::string telemetry_json;  ///< single-line counters object ("{}" if none)
   /// Round-family responses only: round count of the packing, carried as an
-  /// additive "rounds N" line (after telemetry) that plain solves never
-  /// emit, so old peers interoperate unchanged. `solution_text` then holds
-  /// round-solution v1 text instead of sap-solution v1.
+  /// optional "rounds N" line (after telemetry) that plain solves never
+  /// emit. `solution_text` then holds round-solution v1 text instead of
+  /// sap-solution v1.
   bool is_round = false;
   std::uint64_t rounds = 0;
   /// Degradation ladder marker: the deadline ran out mid-request and the
   /// server fell back to the approximation result instead of rejecting.
   /// `skipped` names the stages that were cut short (comma-separated, e.g.
-  /// "cert.exact_dp,cert.ufpp_bnb"). Additive lines; old peers never see
-  /// them (only emitted when degraded).
+  /// "cert.exact_dp,cert.ufpp_bnb"). Optional lines, emitted only when
+  /// degraded.
   bool degraded = false;
   std::string skipped;
   /// Optional sap-cert v1 text, present only when the request asked for a

@@ -8,76 +8,16 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/ring_solver.hpp"
-#include "src/core/sap_solver.hpp"
-#include "src/round/approx.hpp"
-#include "src/round/exact.hpp"
-#include "src/sapu/sapu_solver.hpp"
-#include "src/util/telemetry.hpp"
+#include "src/service/workload.hpp"
 
 namespace sap::service {
 namespace {
 
 constexpr std::size_t kLatencyReservoirCapacity = 4096;
-
-/// One-line {"name": value, ...} over the (deterministic) counters only;
-/// timer seconds are scheduling noise a service client rarely wants.
-std::string compact_counters_json(const TelemetryReport& report) {
-  std::string json = "{";
-  bool first = true;
-  for (const auto& [name, value] : report.counters()) {
-    if (!first) json += ", ";
-    first = false;
-    json += '"';
-    json += name;  // counter names are plain identifiers
-    json += "\": ";
-    json += std::to_string(value);
-  }
-  json += '}';
-  return json;
-}
-
-std::vector<TaskId> all_task_ids(const PathInstance& inst) {
-  std::vector<TaskId> ids(inst.num_tasks());
-  std::iota(ids.begin(), ids.end(), TaskId{0});
-  return ids;
-}
-
-/// Budget-capped heuristic configuration used when a deadline expires and
-/// the server degrades instead of rejecting: every stage runs with small
-/// polynomial caps, so the fallback completes promptly with no deadline of
-/// its own (and therefore never throws DeadlineExceeded).
-SolverParams degraded_params(double eps, std::uint64_t seed) {
-  SolverParams params;
-  params.eps = eps;
-  params.seed = seed;
-  params.small_backend = SmallTaskBackend::kLocalRatio;  // no LP solves
-  params.medium_exact_capacity_limit = 0;  // always the grounded heuristic
-  params.large_max_nodes = 100'000;
-  return params;
-}
-
-/// The digest lane that keeps distinct problem families from colliding in
-/// the cache; persisted with each journal record so the on-disk cache is
-/// kind-aware like the live one.
-std::uint64_t kind_lane_of(SolveRequest::Kind kind) {
-  switch (kind) {
-    case SolveRequest::Kind::kPath:
-      return 1;
-    case SolveRequest::Kind::kRing:
-      return 2;
-    case SolveRequest::Kind::kRoundUfp:
-      return 3;
-    case SolveRequest::Kind::kRoundSap:
-      return 4;
-  }
-  return 1;
-}
 
 }  // namespace
 
@@ -311,9 +251,7 @@ void Server::on_frame(const ConnPtr& conn, std::uint32_t type,
                   stats_to_json(stats_snapshot()));
       break;
     default:
-      // Frame boundary intact; answer and keep the connection. This is also
-      // what an old server sends a new client probing kBatchSolveRequest,
-      // so the client can fall back to sequential frames.
+      // Frame boundary intact; answer and keep the connection.
       requests_bad_.fetch_add(1, std::memory_order_relaxed);
       loop_->send(conn, FrameType::kErrorResponse,
                   encode_error_response(
@@ -492,7 +430,7 @@ void Server::run_and_respond(const ResponseTarget& target,
         settle_waiters(cache_->abandon(*cache_key), nullptr);
       } else {
         const auto waiters = cache_->publish(*cache_key, payload,
-                                             kind_lane_of(request.kind));
+                                             workload_of(request.kind).lane);
         settle_waiters(waiters, &payload);
       }
     }
@@ -516,210 +454,13 @@ bool Server::run_solve_request(const SolveRequest& request,
                                SolveResponse* response,
                                ErrorResponse* rejection) {
   try {
-    TelemetryReport telemetry;
-    std::ostringstream solution_os;
-    const auto solve_start = std::chrono::steady_clock::now();
-    // Per-request budget: the client's deadline_ms wins; otherwise the
-    // server default applies; otherwise unlimited (the legacy behaviour).
-    const std::int64_t budget_ms = request.deadline_ms > 0
-                                       ? request.deadline_ms
-                                       : options_.default_deadline_ms;
-    const Deadline deadline =
-        budget_ms > 0 ? Deadline::after_ms(budget_ms) : Deadline::unlimited();
-    // Degradation ladder: when a stage's slice runs out, either fall back
-    // to the budget-capped approximation (degraded response, `skipped`
-    // names the stages cut short) or rethrow into a DEADLINE_EXCEEDED
-    // rejection, per options_.degrade_on_deadline.
-    auto note_skipped = [response](const std::string& stage) {
-      response->degraded = true;
-      if (!response->skipped.empty()) response->skipped += ',';
-      response->skipped += stage;
-    };
-    if (request.kind == SolveRequest::Kind::kPath) {
-      std::istringstream is(request.instance_text);
-      const PathInstance inst = read_path_instance(is, options_.read_limits);
-      SolverParams params;
-      params.eps = request.eps;
-      params.seed = request.seed;
-      params.deadline = deadline;
-      SapSolution sol;
-      {
-        TelemetrySession session(&telemetry);
-        try {
-          if (request.algo == "full") {
-            sol = solve_sap(inst, params);
-          } else if (request.algo == "exact") {
-            SapExactOptions exact = options_.exact;
-            exact.deadline = exact.deadline.min(deadline);
-            const SapExactResult oracle = sap_exact_profile_dp(inst, exact);
-            if (oracle.timed_out) throw DeadlineExceeded("exact oracle");
-            sol = oracle.solution;
-          } else if (request.algo == "uniform") {
-            sol = solve_sap_uniform(inst);
-          } else if (request.algo == "small") {
-            sol = solve_small_tasks(inst, all_task_ids(inst), params);
-          } else if (request.algo == "medium") {
-            sol = solve_medium_tasks(inst, all_task_ids(inst), params);
-          } else if (request.algo == "large") {
-            sol = solve_large_tasks(inst, all_task_ids(inst), params);
-          } else {
-            throw std::invalid_argument("unknown algo '" + request.algo +
-                                        "' (want full|exact|uniform|small|"
-                                        "medium|large)");
-          }
-        } catch (const DeadlineExceeded&) {
-          if (!options_.degrade_on_deadline) throw;
-          if (options_.fault_injector) {
-            options_.fault_injector(FaultPoint::kPreFallback);
-          }
-          note_skipped("solve." + request.algo);
-          sol = solve_sap(inst, degraded_params(request.eps, request.seed));
-        }
-        if (request.want_certificate) {
-          // Certification runs inside the telemetry session (cert.ladder.*
-          // counters surface in telemetry_json) and inside the solve timer,
-          // so wall_micros reflects the true cost of a certified request.
-          // Rungs share the request deadline: one that times out is skipped
-          // and the ladder falls through to a cheaper bound.
-          cert::CertifyOptions certify = options_.certify;
-          certify.ladder.deadline = certify.ladder.deadline.min(deadline);
-          const cert::CertifyOutcome outcome =
-              cert::certify_solution(inst, sol, certify);
-          for (const cert::LadderRungAttempt& attempt :
-               outcome.ladder.attempts) {
-            if (attempt.timed_out) {
-              note_skipped(std::string("cert.") +
-                           cert::ub_rung_name(attempt.rung));
-            }
-          }
-          if (outcome.certified) {
-            std::ostringstream cert_os;
-            write_certificate(cert_os, outcome.cert);
-            response->certificate_text = cert_os.str();
-          }
-        }
-      }
-      response->weight = sol.weight(inst);
-      response->placed = sol.size();
-      response->total_tasks = inst.num_tasks();
-      write_sap_solution(solution_os, sol);
-    } else if (request.kind == SolveRequest::Kind::kRoundUfp ||
-               request.kind == SolveRequest::Kind::kRoundSap) {
-      if (request.want_certificate) {
-        throw std::invalid_argument(
-            "certificates are not defined for round kinds");
-      }
-      std::istringstream is(request.instance_text);
-      const PathInstance inst = read_path_instance(is, options_.read_limits);
-      const round::RoundKind rkind =
-          request.kind == SolveRequest::Kind::kRoundUfp
-              ? round::RoundKind::kUfp
-              : round::RoundKind::kSap;
-      round::RoundAssignment assignment;
-      {
-        TelemetrySession session(&telemetry);
-        try {
-          if (request.algo == "full") {
-            round::RoundApproxOptions approx;
-            approx.deadline = deadline;
-            assignment = rkind == round::RoundKind::kUfp
-                             ? round::solve_round_ufp_approx(inst, approx)
-                             : round::solve_round_sap_approx(inst, approx);
-          } else if (request.algo == "exact") {
-            round::RoundExactOptions exact;
-            exact.deadline = deadline;
-            const round::RoundExactResult oracle =
-                round::solve_round_exact(inst, rkind, exact);
-            if (oracle.timed_out) {
-              throw DeadlineExceeded("round exact oracle");
-            }
-            assignment = oracle.assignment;
-          } else {
-            throw std::invalid_argument("unknown algo '" + request.algo +
-                                        "' for a round kind (want "
-                                        "full|exact)");
-          }
-        } catch (const DeadlineExceeded&) {
-          if (!options_.degrade_on_deadline) throw;
-          if (options_.fault_injector) {
-            options_.fault_injector(FaultPoint::kPreFallback);
-          }
-          note_skipped("solve." + request.algo);
-          // Budget-free fallback: plain first fit (no strip-packing
-          // portfolio, no oracle) is polynomial and always yields a valid
-          // packing — more rounds instead of a rejection.
-          round::RoundApproxOptions fallback;
-          fallback.portfolio = false;
-          assignment = rkind == round::RoundKind::kUfp
-                           ? round::solve_round_ufp_approx(inst, fallback)
-                           : round::solve_round_sap_approx(inst, fallback);
-        }
-      }
-      // Round packings place every task; weight reports the packed total.
-      response->weight = inst.total_weight();
-      response->placed = assignment.total_placements();
-      response->total_tasks = inst.num_tasks();
-      response->is_round = true;
-      response->rounds = assignment.num_rounds();
-      write_round_assignment(solution_os, assignment);
-    } else {
-      std::istringstream is(request.instance_text);
-      const RingInstance inst = read_ring_instance(is, options_.read_limits);
-      RingSolverParams params;
-      params.path.eps = request.eps;
-      params.path.seed = request.seed;
-      params.path.deadline = deadline;
-      RingSapSolution sol;
-      {
-        TelemetrySession session(&telemetry);
-        try {
-          sol = solve_ring_sap(inst, params);
-        } catch (const DeadlineExceeded&) {
-          if (!options_.degrade_on_deadline) throw;
-          if (options_.fault_injector) {
-            options_.fault_injector(FaultPoint::kPreFallback);
-          }
-          note_skipped("solve.ring");
-          RingSolverParams fallback;
-          fallback.path = degraded_params(request.eps, request.seed);
-          sol = solve_ring_sap(inst, fallback);
-        }
-        if (request.want_certificate) {
-          cert::CertifyOptions certify = options_.certify;
-          certify.ladder.deadline = certify.ladder.deadline.min(deadline);
-          const cert::CertifyOutcome outcome =
-              cert::certify_solution(inst, sol, certify);
-          for (const cert::LadderRungAttempt& attempt :
-               outcome.ladder.attempts) {
-            if (attempt.timed_out) {
-              note_skipped(std::string("cert.") +
-                           cert::ub_rung_name(attempt.rung));
-            }
-          }
-          if (outcome.certified) {
-            std::ostringstream cert_os;
-            write_certificate(cert_os, outcome.cert);
-            response->certificate_text = cert_os.str();
-          }
-        }
-      }
-      response->weight = inst.solution_weight(sol);
-      response->placed = sol.size();
-      response->total_tasks = inst.num_tasks();
-      write_ring_solution(solution_os, sol);
-    }
-    response->wall_micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - solve_start)
-            .count();
-    response->telemetry_json = compact_counters_json(telemetry);
-    response->solution_text = solution_os.str();
+    *response = run_workload(request, options_);
     return true;
   } catch (const std::invalid_argument& error) {
     *rejection = {ErrorCode::kBadRequest, error.what()};
   } catch (const DeadlineExceeded& error) {
-    // Reached only with degrade_on_deadline == false (otherwise the inner
-    // handler already served the fallback). Must precede std::exception:
+    // Reached only with degrade_on_deadline == false (otherwise the
+    // workload already served its fallback). Must precede std::exception:
     // DeadlineExceeded derives from std::runtime_error.
     *rejection = {ErrorCode::kDeadlineExceeded, error.what()};
   } catch (const std::exception& error) {
@@ -824,7 +565,7 @@ InstanceDigest Server::request_digest(const SolveRequest& request) const {
   // a full-quality answer valid under any budget, and degraded responses
   // are never published. eps and seed are mixed bit-exactly.
   InstanceHasher hasher;
-  hasher.update_u64(kind_lane_of(request.kind));
+  hasher.update_u64(workload_of(request.kind).lane);
   hasher.update(request.algo);
   std::uint64_t eps_bits = 0;
   static_assert(sizeof(eps_bits) == sizeof(request.eps));

@@ -1,7 +1,9 @@
 #include "src/util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 namespace sap {
 
@@ -9,8 +11,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 1; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -38,48 +40,46 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto done = std::make_shared<std::atomic<std::size_t>>(0);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  auto error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
+  // Shared with helper tasks, which may still be queued (and then find no
+  // index left) after the caller has returned.
+  struct Sweep {
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable finished;
+    std::size_t done = 0;
+    std::exception_ptr error;
+  };
+  const auto sweep = std::make_shared<Sweep>();
 
-  auto drain = [next, done, first_error, error, error_mutex, count, &body] {
+  auto drain = [sweep, count, &body] {
     for (;;) {
-      const std::size_t i = next->fetch_add(1);
-      if (i >= count) break;
+      const std::size_t i = sweep->next.fetch_add(1);
+      if (i >= count) return;
+      std::exception_ptr error;
       try {
         body(i);
       } catch (...) {
-        if (!first_error->exchange(true)) {
-          std::lock_guard lock(*error_mutex);
-          *error = std::current_exception();
-        }
+        error = std::current_exception();
       }
-      done->fetch_add(1);
+      std::lock_guard lock(sweep->mutex);
+      if (error && !sweep->error) sweep->error = error;
+      if (++sweep->done == count) sweep->finished.notify_all();
     }
   };
 
-  const std::size_t helpers = std::min(workers_.size(), count);
+  const std::size_t helpers = std::min(workers_.size(), count - 1);
   {
     std::lock_guard lock(mutex_);
     for (std::size_t i = 0; i < helpers; ++i) tasks_.push(drain);
   }
   work_ready_.notify_all();
   drain();  // calling thread participates
-  while (done->load() < count) std::this_thread::yield();
-  if (first_error->load()) std::rethrow_exception(*error);
+  std::unique_lock lock(sweep->mutex);
+  sweep->finished.wait(lock, [&] { return sweep->done == count; });
+  if (sweep->error) std::rethrow_exception(sweep->error);
 }
 
 }  // namespace sap

@@ -1,7 +1,5 @@
-// Minimal fixed-size thread pool with two entry points: a fork/join
-// `parallel_for` used by the benchmark harness for parameter sweeps, and a
-// fire-and-forget `submit` used by the sapd service to fan requests out to
-// solver workers. Both share the same worker threads and FIFO task queue.
+// Minimal fixed-size thread pool with a fork/join `parallel_for`, used by
+// the benchmark harness and the batch runner for parameter sweeps.
 #pragma once
 
 #include <condition_variable>
@@ -18,27 +16,24 @@ namespace sap {
 /// loop bodies are rethrown on the calling thread (first one wins).
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means hardware_concurrency (min 1).
+  /// Runs loop bodies on `threads` threads in total: the caller of
+  /// parallel_for plus `threads - 1` workers. 0 means hardware_concurrency
+  /// (min 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Threads that run loop bodies, the calling thread included.
   [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
+    return workers_.size() + 1;
   }
 
   /// Runs body(i) for i in [0, count) across the pool and blocks until all
   /// iterations finish. The calling thread participates.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
-
-  /// Enqueues one task for asynchronous execution and returns immediately.
-  /// The task must not throw (an escaping exception terminates the worker);
-  /// callers that need completion or error signalling build it into the
-  /// task. Destroying the pool runs every task already submitted.
-  void submit(std::function<void()> task);
 
  private:
   void worker_loop();

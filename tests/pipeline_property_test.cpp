@@ -106,10 +106,12 @@ struct MediumCase {
 };
 
 std::string MediumName(const testing::TestParamInfo<MediumCase>& info) {
-  return "b" + std::to_string(info.param.beta.den) + "e" +
-         std::to_string(static_cast<int>(info.param.eps * 10)) + "m" +
-         std::to_string(info.param.mode) + "s" +
-         std::to_string(info.param.seed);
+  std::string name = "b";
+  name += std::to_string(info.param.beta.den) + "e" +
+          std::to_string(static_cast<int>(info.param.eps * 10)) + "m" +
+          std::to_string(info.param.mode) + "s" +
+          std::to_string(info.param.seed);
+  return name;
 }
 
 class MediumPipelineTest : public testing::TestWithParam<MediumCase> {};

@@ -20,11 +20,13 @@ struct RingCase {
 };
 
 std::string CaseName(const testing::TestParamInfo<RingCase>& info) {
-  return "m" + std::to_string(info.param.edges) + "n" +
-         std::to_string(info.param.tasks) + "c" +
-         std::to_string(info.param.cap_lo) + "to" +
-         std::to_string(info.param.cap_hi) + "s" +
-         std::to_string(info.param.seed);
+  std::string name = "m";
+  name += std::to_string(info.param.edges) + "n" +
+          std::to_string(info.param.tasks) + "c" +
+          std::to_string(info.param.cap_lo) + "to" +
+          std::to_string(info.param.cap_hi) + "s" +
+          std::to_string(info.param.seed);
+  return name;
 }
 
 class RingPropertyTest : public testing::TestWithParam<RingCase> {};

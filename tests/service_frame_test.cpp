@@ -196,7 +196,7 @@ TEST(ProtocolTest, ErrorCodeNamesRoundTrip) {
         ErrorCode::kDeadlineExceeded}) {
     EXPECT_EQ(parse_error_code(error_code_name(code)), code);
   }
-  EXPECT_THROW(parse_error_code("NOT_A_CODE"), std::invalid_argument);
+  EXPECT_THROW((void)parse_error_code("NOT_A_CODE"), std::invalid_argument);
 }
 
 TEST(ProtocolTest, DeadlineLineRoundTripsAndStaysOptional) {
@@ -445,9 +445,7 @@ TEST(ProtocolTest, RoundKindsRoundTripAndUnknownKindsRejected) {
         << payload;
     EXPECT_EQ(parse_solve_request(payload).kind, kind);
   }
-  // An old server receiving a round kind rejects it as a *parse* error —
-  // BAD_REQUEST on one request, connection untouched — which is exactly
-  // the version-negotiation contract; same for any unknown kind today.
+  // A kind the workload table does not list is a parse error.
   SolveRequest probe;
   probe.instance_text = "sap-path v1\nedges 1\ncapacities 4\ntasks 0\n";
   std::string payload = encode_solve_request(probe);

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <semaphore>
 #include <sstream>
@@ -23,15 +24,18 @@
 #include "src/cert/check.hpp"
 #include "src/core/ring_solver.hpp"
 #include "src/core/sap_solver.hpp"
+#include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/model/verify.hpp"
 #include "src/round/approx.hpp"
 #include "src/round/exact.hpp"
 #include "src/round/verify.hpp"
+#include "src/sapu/sapu_solver.hpp"
 #include "src/service/client.hpp"
 #include "src/service/frame.hpp"
 #include "src/service/server.hpp"
+#include "src/service/workload.hpp"
 
 namespace sap::service {
 namespace {
@@ -180,8 +184,20 @@ TEST(ServiceTest, ConcurrentClientsGetByteIdenticalVerifiedAnswers) {
   server.stop();
 }
 
+template <typename Solution>
+std::string text_of(void (*write)(std::ostream&, const Solution&),
+                    const Solution& sol) {
+  std::ostringstream os;
+  write(os, sol);
+  return os.str();
+}
+
 TEST(ServiceTest, SolverSelectionMatchesInProcessBackends) {
-  Server server(ServerOptions{});
+  // Every (kind, algo) pair the workload table lists, served by sapd, is
+  // byte-identical to the same entry run in-process and to a direct call
+  // of the backend it names.
+  const ServerOptions defaults;
+  Server server(defaults);
   server.start();
   Client client;
   client.connect("127.0.0.1", server.port());
@@ -191,29 +207,156 @@ TEST(ServiceTest, SolverSelectionMatchesInProcessBackends) {
   gen.num_edges = 8;
   gen.num_tasks = 12;
   const PathInstance inst = generate_path_instance(gen, rng);
+  RingGenOptions ring_gen;
+  ring_gen.num_edges = 6;
+  ring_gen.num_tasks = 10;
+  const RingInstance ring = generate_ring_instance(ring_gen, rng);
+
   SolverParams params;
   params.eps = 0.5;
   params.seed = 7;
-
+  RingSolverParams ring_params;
+  ring_params.path = params;
   std::vector<TaskId> ids(inst.num_tasks());
   std::iota(ids.begin(), ids.end(), TaskId{0});
-  const std::pair<const char*, SapSolution> expectations[] = {
-      {"full", solve_sap(inst, params)},
-      {"small", solve_small_tasks(inst, ids, params)},
-      {"medium", solve_medium_tasks(inst, ids, params)},
-      {"large", solve_large_tasks(inst, ids, params)},
+  using Kind = SolveRequest::Kind;
+  const auto rounds = [&](round::RoundKind kind, const std::string& algo) {
+    if (algo == "exact") {
+      return text_of(write_round_assignment,
+                     round::solve_round_exact(inst, kind).assignment);
+    }
+    return text_of(write_round_assignment,
+                   kind == round::RoundKind::kUfp
+                       ? round::solve_round_ufp_approx(inst)
+                       : round::solve_round_sap_approx(inst));
   };
-  for (const auto& [algo, expected_sol] : expectations) {
+  // Rings ignore algo, so they are keyed by "" below.
+  std::map<std::pair<Kind, std::string>, std::string> expected = {
+      {{Kind::kPath, "full"},
+       text_of(write_sap_solution, solve_sap(inst, params))},
+      {{Kind::kPath, "exact"},
+       text_of(write_sap_solution,
+               sap_exact_profile_dp(inst, defaults.exact).solution)},
+      {{Kind::kPath, "uniform"},
+       text_of(write_sap_solution, solve_sap_uniform(inst))},
+      {{Kind::kPath, "small"},
+       text_of(write_sap_solution, solve_small_tasks(inst, ids, params))},
+      {{Kind::kPath, "medium"},
+       text_of(write_sap_solution, solve_medium_tasks(inst, ids, params))},
+      {{Kind::kPath, "large"},
+       text_of(write_sap_solution, solve_large_tasks(inst, ids, params))},
+      {{Kind::kRing, ""},
+       text_of(write_ring_solution, solve_ring_sap(ring, ring_params))},
+      {{Kind::kRoundUfp, "full"}, rounds(round::RoundKind::kUfp, "full")},
+      {{Kind::kRoundUfp, "exact"}, rounds(round::RoundKind::kUfp, "exact")},
+      {{Kind::kRoundSap, "full"}, rounds(round::RoundKind::kSap, "full")},
+      {{Kind::kRoundSap, "exact"}, rounds(round::RoundKind::kSap, "exact")},
+  };
+
+  std::size_t covered = 0;
+  for (const Workload& workload : workloads()) {
+    std::vector<std::string> algos(workload.algos.begin(),
+                                   workload.algos.end());
+    // A kind that ignores algo must solve the same under any name, even
+    // one no kind knows.
+    if (algos.empty()) algos = {"full", "exact", "quantum"};
+    for (const std::string& algo : algos) {
+      SCOPED_TRACE(std::string(workload.name) + " " + algo);
+      SolveRequest request;
+      request.kind = workload.kind;
+      request.algo = algo;
+      request.eps = 0.5;
+      request.seed = 7;
+      request.instance_text =
+          workload.kind == Kind::kRing ? ring_to_string(ring) : to_string(inst);
+      const Client::SolveOutcome outcome = client.solve(request);
+      ASSERT_TRUE(outcome.ok) << outcome.error_message;
+      const SolveResponse local = run_workload(request, defaults);
+      EXPECT_EQ(outcome.response.solution_text, local.solution_text);
+      EXPECT_EQ(outcome.response.weight, local.weight);
+      EXPECT_EQ(outcome.response.placed, local.placed);
+      EXPECT_EQ(outcome.response.total_tasks, local.total_tasks);
+      EXPECT_EQ(outcome.response.rounds, local.rounds);
+
+      const auto reference = expected.find(
+          {workload.kind, workload.algos.empty() ? "" : algo});
+      ASSERT_NE(reference, expected.end()) << "no reference for this pair";
+      EXPECT_EQ(outcome.response.solution_text, reference->second);
+      ++covered;
+    }
+  }
+  // 6 path algos, 2 per round kind, 3 names tried on the ring.
+  EXPECT_EQ(covered, 6u + 2u + 2u + 3u);
+  server.stop();
+}
+
+TEST(ServiceTest, UnknownAlgoMessageNamesTheKindsSolvers) {
+  Server server(ServerOptions{});
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  const std::pair<SolveRequest::Kind, std::string> cases[] = {
+      {SolveRequest::Kind::kPath,
+       "unknown algo 'quantum' (want full|exact|uniform|small|medium|large)"},
+      {SolveRequest::Kind::kRoundUfp,
+       "unknown algo 'quantum' for a round kind (want full|exact)"},
+      {SolveRequest::Kind::kRoundSap,
+       "unknown algo 'quantum' for a round kind (want full|exact)"},
+  };
+  for (const auto& [kind, message] : cases) {
     SolveRequest request;
-    request.algo = algo;
-    request.eps = 0.5;
-    request.seed = 7;
-    request.instance_text = to_string(inst);
+    request.kind = kind;
+    request.algo = "quantum";
+    request.instance_text =
+        "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
     const Client::SolveOutcome outcome = client.solve(request);
-    ASSERT_TRUE(outcome.ok) << algo << ": " << outcome.error_message;
-    std::ostringstream expected_os;
-    write_sap_solution(expected_os, expected_sol);
-    EXPECT_EQ(outcome.response.solution_text, expected_os.str()) << algo;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error_code, ErrorCode::kBadRequest);
+    EXPECT_EQ(outcome.error_message, message);
+  }
+  server.stop();
+}
+
+TEST(ServiceTest, TelemetryFlagsUnprovenOptimaAndReportsRoundBounds) {
+  // The oracle's beam capped far below what the instance needs: `algo
+  // exact` still answers, and dp.truncated says the optimum is unproven.
+  ServerOptions capped;
+  capped.exact.max_states = 4;
+  Server server(capped);
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  Rng rng(99);
+  PathGenOptions gen;
+  gen.num_edges = 8;
+  gen.num_tasks = 12;
+  SolveRequest request;
+  request.algo = "exact";
+  request.instance_text = to_string(generate_path_instance(gen, rng));
+  const auto has = [](const SolveResponse& response, const char* counter) {
+    return response.telemetry_json.find('"' + std::string(counter) + '"') !=
+           std::string::npos;
+  };
+
+  const Client::SolveOutcome served = client.solve(request);
+  ASSERT_TRUE(served.ok) << served.error_message;
+  EXPECT_TRUE(has(served.response, "dp.truncated"));
+  EXPECT_TRUE(has(run_workload(request, capped), "dp.truncated"));
+  EXPECT_FALSE(has(run_workload(request, ServerOptions{}), "dp.truncated"));
+
+  // Round kinds carry what `sapkit_cli round` prints beside the packing.
+  request.kind = SolveRequest::Kind::kRoundSap;
+  const SolveResponse oracle = run_workload(request, capped);
+  EXPECT_TRUE(has(oracle, "round.exact.nodes"));
+  EXPECT_FALSE(has(oracle, "round.exact.truncated"));
+  request.algo = "full";
+  const Client::SolveOutcome approx = client.solve(request);
+  ASSERT_TRUE(approx.ok) << approx.error_message;
+  for (const char* counter :
+       {"round.small_rounds", "round.large_rounds", "round.lower_bound"}) {
+    EXPECT_TRUE(has(approx.response, counter)) << counter;
   }
   server.stop();
 }

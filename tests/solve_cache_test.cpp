@@ -117,7 +117,9 @@ TEST(SolveCacheTest, LruEvictionBoundsEntriesAndEvictsOldestFirst) {
   SolveCache cache(3);
   for (std::uint64_t k = 1; k <= 3; ++k) {
     ASSERT_EQ(cache.acquire(key_of(k), k).role, SolveCache::Role::kOwner);
-    (void)cache.publish(key_of(k), "v" + std::to_string(k));
+    std::string value = "v";
+    value += std::to_string(k);
+    (void)cache.publish(key_of(k), value);
   }
   // Touch key 1 so key 2 becomes the least recently used.
   ASSERT_EQ(cache.acquire(key_of(1), 100).role, SolveCache::Role::kHit);

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/util/arena.hpp"
@@ -195,6 +198,33 @@ TEST(ThreadPoolTest, StressManySmallSweeps) {
     pool.parallel_for(n, [&](std::size_t i) { sum.fetch_add(i + 1); });
     ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "sweep of size " << n;
   }
+}
+
+TEST(ThreadPoolTest, RunsBodiesOnAtMostThreadCountThreads) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), threads);
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    pool.parallel_for(256, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::lock_guard lock(mutex);
+      seen.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(seen.size(), pool.thread_count()) << threads << " threads";
+  }
+}
+
+TEST(ThreadPoolTest, SingleThreadPoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  std::mutex mutex;
+  std::set<std::thread::id> seen;
+  pool.parallel_for(64, [&](std::size_t) {
+    std::lock_guard lock(mutex);
+    seen.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
 }
 
 TEST(PercentileTest, MatchesLinearInterpolation) {
