@@ -61,7 +61,7 @@ CheckResult check_path_feasibility(const PathInstance& inst,
   for (std::size_t a = 0; a < sol.placements.size(); ++a) {
     const Placement& pa = sol.placements[a];
     const Task& ta = inst.task(pa.task);
-    // sapkit-lint: allow(exact-arith) -- every placement passed the
+    // sapkit-analyze: allow(exact-arith) -- every placement passed the
     // checked height + demand overflow test in the loop above.
     const Value top_a = pa.height + ta.demand;  // in range: checked above
     for (std::size_t b = a + 1; b < sol.placements.size(); ++b) {
@@ -69,7 +69,7 @@ CheckResult check_path_feasibility(const PathInstance& inst,
       const Task& tb = inst.task(pb.task);
       const bool share_edge = ta.first <= tb.last && tb.first <= ta.last;
       if (!share_edge) continue;
-      // sapkit-lint: allow(exact-arith) -- same checked bound as top_a.
+      // sapkit-analyze: allow(exact-arith) -- same checked bound as top_a.
       const Value top_b = pb.height + tb.demand;
       const bool disjoint = top_a <= pb.height || top_b <= pa.height;
       if (!disjoint) {
@@ -212,18 +212,18 @@ struct SapDfs {
       : inst(instance), max_nodes(budget) {
     const std::size_t n = inst.num_tasks();
     suffix_weight.assign(n + 1, 0);
-    // sapkit-lint: begin-allow(exact-arith) -- Int128 accumulator; a sum of
+    // sapkit-analyze: begin-allow(exact-arith) -- Int128 accumulator; a sum of
     // n int64 weights cannot overflow 128 bits.
     for (std::size_t j = n; j-- > 0;) {
       suffix_weight[j] =
           suffix_weight[j + 1] + inst.task(static_cast<TaskId>(j)).weight;
     }
-    // sapkit-lint: end-allow(exact-arith)
+    // sapkit-analyze: end-allow(exact-arith)
   }
 
   [[nodiscard]] bool fits(TaskId j, Value height) const {
     const Task& t = inst.task(j);
-    // sapkit-lint: begin-allow(exact-arith) -- heights are enumerated up to
+    // sapkit-analyze: begin-allow(exact-arith) -- heights are enumerated up to
     // bottleneck - demand, so every top is <= bottleneck <= 2^62: exact.
     const Value top = height + t.demand;
     for (const Placement& p : chosen) {
@@ -232,11 +232,11 @@ struct SapDfs {
       const Value other_top = p.height + other.demand;
       if (!(top <= p.height || other_top <= height)) return false;
     }
-    // sapkit-lint: end-allow(exact-arith)
+    // sapkit-analyze: end-allow(exact-arith)
     return true;
   }
 
-  // sapkit-lint: begin-allow(exact-arith) -- the running weight is an Int128
+  // sapkit-analyze: begin-allow(exact-arith) -- the running weight is an Int128
   // accumulator over int64 task weights: no overflow is possible.
   void run(std::size_t j, Int128 weight) {
     if (++nodes > max_nodes) {
@@ -260,7 +260,7 @@ struct SapDfs {
     }
     if (budget_ok) run(j + 1, weight);
   }
-  // sapkit-lint: end-allow(exact-arith)
+  // sapkit-analyze: end-allow(exact-arith)
 };
 
 CheckResult recheck_exact_dp(const PathInstance& inst, Weight claimed,
@@ -304,17 +304,17 @@ struct UfppDfs {
       : inst(instance), max_nodes(budget) {
     const std::size_t n = inst.num_tasks();
     suffix_weight.assign(n + 1, 0);
-    // sapkit-lint: begin-allow(exact-arith) -- Int128 accumulator; a sum of
+    // sapkit-analyze: begin-allow(exact-arith) -- Int128 accumulator; a sum of
     // n int64 weights cannot overflow 128 bits.
     for (std::size_t j = n; j-- > 0;) {
       suffix_weight[j] =
           suffix_weight[j + 1] + inst.task(static_cast<TaskId>(j)).weight;
     }
-    // sapkit-lint: end-allow(exact-arith)
+    // sapkit-analyze: end-allow(exact-arith)
     remaining = inst.capacities();
   }
 
-  // sapkit-lint: begin-allow(exact-arith) -- the running weight is an Int128
+  // sapkit-analyze: begin-allow(exact-arith) -- the running weight is an Int128
   // accumulator, and the residual-capacity restore only returns `remaining`
   // to a prior value <= capacity <= 2^62: both stay exact.
   void run(std::size_t j, Int128 weight) {
@@ -346,7 +346,7 @@ struct UfppDfs {
     }
     if (budget_ok) run(j + 1, weight);
   }
-  // sapkit-lint: end-allow(exact-arith)
+  // sapkit-analyze: end-allow(exact-arith)
 };
 
 CheckResult recheck_ufpp_bnb(const PathInstance& inst, Weight claimed,

@@ -14,16 +14,16 @@
 namespace sap::cert {
 namespace {
 
-// sapkit-lint: allow(determinism) -- the monotonic clock feeds per-rung
+// sapkit-analyze: allow(determinism) -- the monotonic clock feeds per-rung
 // wall-time telemetry only; ladder bounds and rung order never read it.
 using Clock = std::chrono::steady_clock;
 
-// sapkit-lint: begin-allow(float-ban) -- wall-time measurement feeds the
+// sapkit-analyze: begin-allow(float-ban) -- wall-time measurement feeds the
 // per-rung telemetry only; it never touches a bound or a solver decision.
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-// sapkit-lint: end-allow(float-ban)
+// sapkit-analyze: end-allow(float-ban)
 
 const char* rung_counter_name(UbRung rung) {
   switch (rung) {
@@ -60,7 +60,7 @@ bool checked_total_weight(std::span<const Weight> weights, Weight* out) {
 /// Rounds one simplex-suggested price to the scaled integral grid. Any
 /// non-negative result keeps the bound valid; the guard only rejects values
 /// too large to represent.
-// sapkit-lint: begin-allow(float-ban) -- the declared LP-dual-repair region:
+// sapkit-analyze: begin-allow(float-ban) -- the declared LP-dual-repair region:
 // floating-point simplex output is a *suggestion* only; every repaired price
 // is re-evaluated exactly in Int128 (evaluate_dual_bound) before any bound
 // is emitted, so float error can weaken the bound but never falsify it.
@@ -71,7 +71,7 @@ bool repair_price(double y, std::int64_t scale, std::int64_t* out) {
   *out = static_cast<std::int64_t>(std::llround(scaled));
   return true;
 }
-// sapkit-lint: end-allow(float-ban)
+// sapkit-analyze: end-allow(float-ban)
 
 /// Exact evaluation of the repaired dual bound shared by path and ring:
 /// UB = floor((sum_e c_e*Y_e + sum_j z_j) / S) with
@@ -115,7 +115,7 @@ bool try_path_lp_dual(const PathInstance& inst, const LadderOptions& options,
   if (n == 0 || options.dual_scale <= 0) return false;
   DeadlineGate gate(options.deadline);
 
-  // sapkit-lint: begin-allow(float-ban) -- LP-dual-repair region: the dual
+  // sapkit-analyze: begin-allow(float-ban) -- LP-dual-repair region: the dual
   // LP is posed in doubles for the simplex, but its solution is only ever a
   // hint; the emitted bound comes from the exact Int128 re-evaluation below.
   LpProblem dual;
@@ -144,7 +144,7 @@ bool try_path_lp_dual(const PathInstance& inst, const LadderOptions& options,
   }
 
   const LpSolution lp = solve_lp(dual, 0, options.deadline);
-  // sapkit-lint: end-allow(float-ban)
+  // sapkit-analyze: end-allow(float-ban)
   if (lp.status == LpStatus::kTimeout) {
     *timed_out = true;
     return false;
@@ -198,7 +198,7 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
   if (n == 0 || options.dual_scale <= 0) return false;
   DeadlineGate gate(options.deadline);
 
-  // sapkit-lint: begin-allow(float-ban) -- LP-dual-repair region: the dual
+  // sapkit-analyze: begin-allow(float-ban) -- LP-dual-repair region: the dual
   // LP is posed in doubles for the simplex, but its solution is only ever a
   // hint; the emitted bound comes from the exact Int128 re-evaluation below.
   LpProblem dual;
@@ -230,7 +230,7 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
   }
 
   const LpSolution lp = solve_lp(dual, 0, options.deadline);
-  // sapkit-lint: end-allow(float-ban)
+  // sapkit-analyze: end-allow(float-ban)
   if (lp.status == LpStatus::kTimeout) {
     *timed_out = true;
     return false;

@@ -69,7 +69,7 @@ struct LadderRungAttempt {
   bool proved = false;      ///< rung produced a proven bound
   bool timed_out = false;   ///< the deadline cut this rung short
   Weight value = 0;         ///< the bound, when proved
-  // sapkit-lint: allow(float-ban) -- wall-time telemetry for rung attempts;
+  // sapkit-analyze: allow(float-ban) -- wall-time telemetry for rung attempts;
   // never feeds the bound arithmetic.
   double seconds = 0.0;     ///< wall time spent on the attempt
 };

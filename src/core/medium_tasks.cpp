@@ -64,12 +64,12 @@ SapSolution elevator_lemma14(const PathInstance& inst,
     if (params.beta.lt_scaled(p.height, Value{1} << k)) {
       // Lifting by ceil(beta * 2^k) is safe by inequality (2) up to the
       // integral rounding of the lift; drop the rare boundary violators.
-      // sapkit-lint: begin-allow(exact-arith) -- h + lift <= 2 * bottleneck
+      // sapkit-analyze: begin-allow(exact-arith) -- h + lift <= 2 * bottleneck
       // and lifted + d <= 2 * bottleneck (the guard drops violators), with
       // bottleneck <= capacity <= 2^62: both pairwise sums are exact int64.
       const Value lifted = p.height + lift;
       if (lifted + sub.task(p.task).demand <= sub.bottleneck(p.task)) {
-        // sapkit-lint: end-allow(exact-arith)
+        // sapkit-analyze: end-allow(exact-arith)
         low.placements.push_back({p.task, lifted});
       } else {
         ++casualties;

@@ -5,7 +5,7 @@
 
 namespace sap {
 
-// sapkit-lint: begin-allow(float-ban) -- parameter derivation only: these
+// sapkit-analyze: begin-allow(float-ban) -- parameter derivation only: these
 // ceil/log expressions turn eps and beta into small integer window widths
 // before solving starts; no weight, height or capacity ever mixes with them.
 int SolverParams::beta_q() const noexcept {
@@ -22,7 +22,7 @@ int SolverParams::effective_ell() const noexcept {
       static_cast<int>(std::ceil(static_cast<double>(q) / eps - 1e-12));
   return derived < 1 ? 1 : derived;
 }
-// sapkit-lint: end-allow(float-ban)
+// sapkit-analyze: end-allow(float-ban)
 
 void SolverParams::validate() const {
   if (!(eps > 0.0)) {

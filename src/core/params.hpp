@@ -18,7 +18,7 @@ enum class SmallTaskBackend {
 struct SolverParams {
   /// Approximation slack. Drives delta (small threshold) and ell (medium
   /// framework window width).
-  // sapkit-lint: allow(float-ban) -- tuning knob consumed only by the
+  // sapkit-analyze: allow(float-ban) -- tuning knob consumed only by the
   // integer parameter derivation in params.cpp; never mixes with quantities.
   double eps = 0.5;
 
@@ -42,7 +42,7 @@ struct SolverParams {
   SmallTaskBackend small_backend = SmallTaskBackend::kLocalRatio;
 
   /// Trials and slack for the LP-rounding backend.
-  // sapkit-lint: allow(float-ban) -- forwarded verbatim to src/lp/, where
+  // sapkit-analyze: allow(float-ban) -- forwarded verbatim to src/lp/, where
   // floating point is in charter; core code never computes with it.
   double lp_rounding_eps = 0.2;
   int lp_rounding_trials = 8;

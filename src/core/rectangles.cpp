@@ -61,11 +61,11 @@ std::vector<TaskRect> solution_rectangles(const PathInstance& inst,
   out.reserve(sol.placements.size());
   for (const Placement& p : sol.placements) {
     const Task& t = inst.task(p.task);
-    // sapkit-lint: begin-allow(exact-arith) -- feasible placements satisfy
+    // sapkit-analyze: begin-allow(exact-arith) -- feasible placements satisfy
     // h + d <= c <= 2^62 (instance construction), so the top is exact.
     out.push_back({p.task, t.first, t.last, p.height, p.height + t.demand,
                    t.weight});
-    // sapkit-lint: end-allow(exact-arith)
+    // sapkit-analyze: end-allow(exact-arith)
   }
   return out;
 }
@@ -185,7 +185,7 @@ struct MwisSearch {
         ++num_cliques;
         const std::uint64_t* row = graph.row(v);
         std::copy(row, row + graph.words, clique);
-        // sapkit-lint: allow(exact-arith) -- each vertex contributes once, so
+        // sapkit-analyze: allow(exact-arith) -- each vertex counts once, so
         // the bound is a subset sum of weights, proven to fit at construction.
         bound += rects[v].weight;
       }
@@ -236,7 +236,7 @@ struct MwisSearch {
     // persists across the DFS: reallocation amortizes away after the first
     // descent.
     current.push_back(pick);
-    // sapkit-lint: allow(exact-arith) -- subset sum of distinct task
+    // sapkit-analyze: allow(exact-arith) -- subset sum of distinct task
     // weights; the instance constructor proved the full sum fits int64.
     dfs(deeper, weight + rects[pick].weight);
     current.pop_back();

@@ -27,7 +27,7 @@ struct RingSolverParams {
   /// solve as a whole (both branches check it; expiry throws
   /// DeadlineExceeded, never a partial solution).
   SolverParams path;
-  // sapkit-lint: allow(float-ban) -- FPTAS accuracy knob; the knapsack
+  // sapkit-analyze: allow(float-ban) -- FPTAS accuracy knob; the knapsack
   // backend does its own exact bookkeeping in integers.
   double knapsack_eps = 0.1;  ///< FPTAS accuracy for the through-cut branch
 };

@@ -46,7 +46,7 @@ SapSolution solve_small_tasks(const PathInstance& inst,
     std::iota(all.begin(), all.end(), TaskId{0});
 
     UfppSolution ufpp;
-    // sapkit-lint: allow(float-ban) -- LP backend diagnostic for the report
+    // sapkit-analyze: allow(float-ban) -- LP backend diagnostic for the report
     // struct only; the solver never reads it back.
     double lp_value = 0.0;
     if (params.small_backend == SmallTaskBackend::kLpRounding) {

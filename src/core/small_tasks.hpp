@@ -22,11 +22,11 @@ struct StripInfo {
   std::size_t num_tasks = 0;
   Weight ufpp_weight = 0;    ///< weight of the (B/2)-packable UFPP solution
   Weight kept_weight = 0;    ///< after the strip transformation
-  // sapkit-lint: begin-allow(float-ban) -- bench/report diagnostics only;
+  // sapkit-analyze: begin-allow(float-ban) -- bench/report diagnostics only;
   // nothing reads these back into the solver.
   double retention = 1.0;    ///< kept / (kept + dropped), Lemma 4 measure
   double lp_value = 0.0;     ///< LP optimum (LP backend only)
-  // sapkit-lint: end-allow(float-ban)
+  // sapkit-analyze: end-allow(float-ban)
 };
 
 struct SmallTasksReport {

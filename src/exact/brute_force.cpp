@@ -22,7 +22,7 @@ struct BruteSearcher {
       : inst(instance), order(subset.begin(), subset.end()), gate(deadline) {
     suffix.assign(order.size() + 1, 0);
     for (std::size_t i = order.size(); i-- > 0;) {
-      // sapkit-lint: allow(exact-arith) -- suffix sums of task weights; the
+      // sapkit-analyze: allow(exact-arith) -- suffix sums of task weights; the
       // PathInstance constructor proved the full sum fits in int64.
       suffix[i] = suffix[i + 1] + inst.task(order[i]).weight;
     }
@@ -32,11 +32,11 @@ struct BruteSearcher {
     for (const Placement& p : current) {
       const Task& other = inst.task(p.task);
       if (!t.overlaps(other)) continue;
-      // sapkit-lint: begin-allow(exact-arith) -- candidate and settled
+      // sapkit-analyze: begin-allow(exact-arith) -- candidate and settled
       // heights satisfy h <= b(j) - d, so h + d <= b(j) <= 2^62 is exact.
       const Value other_top = p.height + other.demand;
       if (h < other_top && p.height < h + t.demand) return false;
-      // sapkit-lint: end-allow(exact-arith)
+      // sapkit-analyze: end-allow(exact-arith)
     }
     return true;
   }
@@ -55,7 +55,7 @@ struct BruteSearcher {
     for (Value h = 0; h <= top_limit; ++h) {
       if (!placeable(t, h)) continue;
       current.push_back({j, h});
-      // sapkit-lint: allow(exact-arith) -- subset sum of task weights; the
+      // sapkit-analyze: allow(exact-arith) -- subset sum of task weights; the
       // PathInstance constructor proved the full sum fits in int64.
       current_weight += t.weight;
       dfs(i + 1);

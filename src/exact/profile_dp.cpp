@@ -33,7 +33,7 @@ struct Slot {
   EdgeId pad = 0;
 
   friend bool operator==(const Slot&, const Slot&) = default;
-  // sapkit-lint: allow(exact-arith) -- slots are only created with
+  // sapkit-analyze: allow(exact-arith) -- slots are only created with
   // h + d <= cap <= 2^62 (see place()/free_span), so the top is exact.
   [[nodiscard]] Value top() const noexcept { return height + demand; }
 };
@@ -217,7 +217,7 @@ struct SweepContext {
       overflow = true;
       return;
     }
-    // sapkit-lint: allow(exact-arith) -- weights of disjoint task sets;
+    // sapkit-analyze: allow(exact-arith) -- weights of disjoint task sets;
     // their sum is a subset sum, proven to fit in int64 at construction.
     const Weight total = base_weight + added_weight;
     DedupeTable::Entry& entry = dedupe.find(key_sum);
@@ -275,7 +275,7 @@ struct StarterEnumerator {
 
   [[nodiscard]] bool free_span(Value h, Value demand) const {
     for (const Slot& s : ctx.slots) {
-      // sapkit-lint: allow(exact-arith) -- h <= cap and d <= cap <= 2^62
+      // sapkit-analyze: allow(exact-arith) -- h <= cap and d <= cap <= 2^62
       // (instance construction), so h + d <= 2^63 stays exact in int64.
       if (s.height >= h + demand) break;  // sorted: all later are above
       if (s.top() > h) return false;
@@ -292,7 +292,7 @@ struct StarterEnumerator {
     run(i + 1);  // skip starters[i]
     const TaskId j = starters[i];
     const Task& t = ctx.inst.task(j);
-    // sapkit-lint: allow(exact-arith) -- min_height <= cap and d <= cap <=
+    // sapkit-analyze: allow(exact-arith) -- min_height <= cap and d <= cap <=
     // 2^62 (instance construction), so the sum is exact in int64.
     if (min_height + t.demand > cap) return;
     if (grounded_only) {
@@ -316,7 +316,7 @@ struct StarterEnumerator {
                        candidates.end());
       std::size_t tried = 0;
       for (Value h : candidates) {
-        // sapkit-lint: allow(exact-arith) -- candidate tops are <= cap and
+        // sapkit-analyze: allow(exact-arith) -- candidate tops are <= cap and
         // d <= cap <= 2^62, so the sum is exact in int64.
         if (h + t.demand > cap) break;
         if (!free_span(h, t.demand)) continue;
@@ -331,7 +331,7 @@ struct StarterEnumerator {
     std::size_t tried = 0;
     Value h = min_height;
     std::size_t k = 0;
-    // sapkit-lint: allow(exact-arith) -- h <= cap (starts at min_height and
+    // sapkit-analyze: allow(exact-arith) -- h <= cap (starts at min_height and
     // jumps to slot tops <= cap) and d <= cap <= 2^62: exact in int64.
     while (h + t.demand <= cap) {
       // Skip forward over any slot blocking [h, h+demand).
@@ -339,7 +339,7 @@ struct StarterEnumerator {
       for (; k < ctx.slots.size(); ++k) {
         const Slot& s = ctx.slots[k];
         if (s.top() <= h) continue;           // entirely below
-        // sapkit-lint: allow(exact-arith) -- same h <= cap, d <= cap <= 2^62
+        // sapkit-analyze: allow(exact-arith) -- same h <= cap, d <= cap <= 2^62
         // bound as the loop condition above: exact in int64.
         if (s.height >= h + t.demand) break;  // entirely above; gap is free
         h = s.top();                          // jump past the blocker
@@ -352,7 +352,7 @@ struct StarterEnumerator {
       if (k < ctx.slots.size()) {
         gap_end = std::min(gap_end, ctx.slots[k].height);
       }
-      // sapkit-lint: allow(exact-arith) -- hh <= gap_end <= cap and d <=
+      // sapkit-analyze: allow(exact-arith) -- hh <= gap_end <= cap and d <=
       // cap <= 2^62 (instance construction): exact in int64.
       for (Value hh = h; hh + t.demand <= gap_end; ++hh) {
         if (max_heights != 0 && tried >= max_heights) return;
@@ -381,7 +381,7 @@ struct StarterEnumerator {
     // sapkit-analyze: allow(arena-discipline) -- reused placement scratch;
     // capacity persists across states and edges.
     ctx.added.push_back({j, h});
-    // sapkit-lint: allow(exact-arith) -- subset sum of task weights; the
+    // sapkit-analyze: allow(exact-arith) -- subset sum of task weights; the
     // PathInstance constructor proved the full sum fits in int64.
     added_weight += t.weight;
     run(i + 1);

@@ -154,7 +154,7 @@ struct UfppSweep {
       profile.push_back({inst.task(j).demand, inst.task(j).last, 0});
     }
     std::sort(profile.begin(), profile.end());
-    // sapkit-lint: allow(exact-arith) -- weights of disjoint task sets;
+    // sapkit-analyze: allow(exact-arith) -- weights of disjoint task sets;
     // their sum is a subset sum, proven to fit in int64 at construction.
     const Weight total = base_weight + gained;
     const std::uint64_t key = hash_profile(profile.data(), profile.size());
@@ -209,7 +209,7 @@ struct UfppSweep {
     }
     enumerate(i + 1, used, gained);  // skip starter i
     const Task& t = inst.task((*starters)[i]);
-    // sapkit-lint: begin-allow(exact-arith) -- `used` and the gained weight
+    // sapkit-analyze: begin-allow(exact-arith) -- `used` and the gained weight
     // are subset sums of demands/weights; the PathInstance constructor
     // proved the full sums fit in int64.
     if (used + t.demand <= cap) {
@@ -217,7 +217,7 @@ struct UfppSweep {
       // capacity persists across starters.
       added.push_back((*starters)[i]);
       enumerate(i + 1, used + t.demand, gained + t.weight);
-      // sapkit-lint: end-allow(exact-arith)
+      // sapkit-analyze: end-allow(exact-arith)
       added.pop_back();
     }
   }
@@ -269,7 +269,7 @@ UfppProfileDpResult ufpp_exact_profile_dp(
         // sapkit-analyze: allow(arena-discipline) -- reused sweep scratch;
         // capacity persists across states and edges.
         ctx.active.push_back(a);
-        // sapkit-lint: allow(exact-arith) -- subset sum of demands; the
+        // sapkit-analyze: allow(exact-arith) -- subset sum of demands; the
         // PathInstance constructor proved the full sum fits in int64.
         load += a.demand;
       }

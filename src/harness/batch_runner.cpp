@@ -12,7 +12,7 @@
 namespace sap {
 namespace {
 
-// sapkit-lint: allow(determinism) -- the monotonic clock feeds case/run
+// sapkit-analyze: allow(determinism) -- the monotonic clock feeds case/run
 // wall-time fields only, which live in the scheduling-dependent "run"
 // section that counters-only JSON omits; no aggregate counter reads it.
 using Clock = std::chrono::steady_clock;

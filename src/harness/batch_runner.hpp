@@ -16,7 +16,7 @@
 #include <iosfwd>
 #include <limits>
 #include <mutex>
-// sapkit-lint: allow(determinism) -- header for BatchResumeStore's
+// sapkit-analyze: allow(determinism) -- header for BatchResumeStore's
 // index-keyed checkpoint map; see the member for the iteration argument.
 #include <unordered_map>
 #include <vector>
@@ -91,7 +91,7 @@ class BatchResumeStore {
 
  private:
   mutable std::mutex mutex_;
-  // sapkit-lint: allow(determinism) -- never iterated: accessed only by
+  // sapkit-analyze: allow(determinism) -- never iterated: accessed only by
   // point lookup/insert on the case index, so iteration order cannot
   // reach any output.
   std::unordered_map<std::size_t, BatchCase> done_;

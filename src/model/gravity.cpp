@@ -16,7 +16,7 @@ Value lowest_fit(const PathInstance& inst, const Task& t,
   for (const Placement& q : settled) {
     const Task& other = inst.task(q.task);
     if (t.overlaps(other)) {
-      // sapkit-lint: allow(exact-arith) -- gravity runs on feasible inputs:
+      // sapkit-analyze: allow(exact-arith) -- gravity runs on feasible inputs:
       // h + d <= c <= 2^62 (instance construction), so tops are exact.
       blocks.emplace_back(q.height, q.height + other.demand);
     }
@@ -25,7 +25,7 @@ Value lowest_fit(const PathInstance& inst, const Task& t,
   Value candidate = 0;
   for (const auto& [bottom, top] : blocks) {
     if (candidate >= max_height) break;
-    // sapkit-lint: allow(exact-arith) -- candidate <= max_height <= original
+    // sapkit-analyze: allow(exact-arith) -- candidate <= max_height <= original
     // feasible height and d <= c, so candidate + d <= 2c <= 2^63 is exact.
     if (bottom >= candidate + t.demand) break;  // gap below `bottom` fits
     candidate = std::max(candidate, top);
@@ -58,7 +58,7 @@ bool is_grounded(const PathInstance& inst, const SapSolution& sol) {
     for (const Placement& q : sol.placements) {
       if (q.task == p.task) continue;
       const Task& other = inst.task(q.task);
-      // sapkit-lint: allow(exact-arith) -- feasible solution: h + d <= c <=
+      // sapkit-analyze: allow(exact-arith) -- feasible solution: h + d <= c <=
       // 2^62 (instance construction), so the support top is exact.
       if (t.overlaps(other) && q.height + other.demand == p.height) {
         supported = true;

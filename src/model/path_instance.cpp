@@ -90,7 +90,7 @@ Value PathInstance::max_capacity() const {
 Weight PathInstance::total_weight() const noexcept {
   return std::accumulate(
       tasks_.begin(), tasks_.end(), Weight{0},
-      // sapkit-lint: allow(exact-arith) -- the constructor proved this exact
+      // sapkit-analyze: allow(exact-arith) -- the constructor proved this exact
       // sum fits in int64 with checked_add; recomputing it cannot overflow.
       [](Weight acc, const Task& t) { return acc + t.weight; });
 }

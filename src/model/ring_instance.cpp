@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-// sapkit-lint: allow(determinism) -- duplicate-id membership test only; the
+// sapkit-analyze: allow(determinism) -- duplicate-id membership test only; the
 // set is queried, never iterated, so its order cannot reach any output.
 #include <unordered_set>
 
@@ -86,7 +86,7 @@ EdgeId RingInstance::min_capacity_edge() const {
 
 Weight RingInstance::solution_weight(const RingSapSolution& sol) const {
   Weight total = 0;
-  // sapkit-lint: allow(exact-arith) -- subset sum of task weights; the
+  // sapkit-analyze: allow(exact-arith) -- subset sum of task weights; the
   // constructor proved the full sum fits in int64 with checked_add.
   for (const RingPlacement& p : sol.placements) total += task(p.task).weight;
   return total;
@@ -94,7 +94,7 @@ Weight RingInstance::solution_weight(const RingSapSolution& sol) const {
 
 VerifyResult verify_ring_sap(const RingInstance& inst,
                              const RingSapSolution& sol) {
-  // sapkit-lint: allow(determinism) -- membership test only, never iterated.
+  // sapkit-analyze: allow(determinism) -- membership test only, never iterated.
   std::unordered_set<TaskId> seen;
   for (const RingPlacement& p : sol.placements) {
     if (p.task < 0 || static_cast<std::size_t>(p.task) >= inst.num_tasks()) {

@@ -6,7 +6,7 @@ namespace sap {
 
 Weight UfppSolution::weight(const PathInstance& inst) const {
   Weight total = 0;
-  // sapkit-lint: allow(exact-arith) -- subset sum of task weights; the
+  // sapkit-analyze: allow(exact-arith) -- subset sum of task weights; the
   // PathInstance constructor proved the full sum fits in int64.
   for (TaskId j : tasks) total += inst.task(j).weight;
   return total;
@@ -14,14 +14,14 @@ Weight UfppSolution::weight(const PathInstance& inst) const {
 
 Weight SapSolution::weight(const PathInstance& inst) const {
   Weight total = 0;
-  // sapkit-lint: allow(exact-arith) -- subset sum of task weights; the
+  // sapkit-analyze: allow(exact-arith) -- subset sum of task weights; the
   // PathInstance constructor proved the full sum fits in int64.
   for (const Placement& p : placements) total += inst.task(p.task).weight;
   return total;
 }
 
 void SapSolution::lift(Value delta) {
-  // sapkit-lint: allow(exact-arith) -- callers lift within a capacity bound
+  // sapkit-analyze: allow(exact-arith) -- callers lift within a capacity bound
   // they already proved (h + delta <= c <= 2^62), so the sum is exact.
   for (Placement& p : placements) p.height += delta;
 }
@@ -48,11 +48,11 @@ std::vector<Value> edge_loads(const PathInstance& inst,
   std::vector<Value> diff(inst.num_edges() + 1, 0);
   for (TaskId j : tasks) {
     const Task& t = inst.task(j);
-    // sapkit-lint: begin-allow(exact-arith) -- difference-array entries are
+    // sapkit-analyze: begin-allow(exact-arith) -- difference-array entries are
     // subset sums of demands; the constructor proved the full sum fits int64.
     diff[static_cast<std::size_t>(t.first)] += t.demand;
     diff[static_cast<std::size_t>(t.last) + 1] -= t.demand;
-    // sapkit-lint: end-allow(exact-arith)
+    // sapkit-analyze: end-allow(exact-arith)
   }
   std::vector<Value> loads(inst.num_edges());
   Value running = 0;
@@ -73,7 +73,7 @@ std::vector<Value> edge_makespans(const PathInstance& inst,
   std::vector<Value> tops(inst.num_edges(), 0);
   for (const Placement& p : sol.placements) {
     const Task& t = inst.task(p.task);
-    // sapkit-lint: allow(exact-arith) -- callers pass verified solutions
+    // sapkit-analyze: allow(exact-arith) -- callers pass verified solutions
     // (h + d <= c <= 2^62, enforced at instance construction), so the
     // stacking top is exact; adversarial heights go through verify_sap.
     const Value top = p.height + t.demand;
@@ -88,7 +88,7 @@ std::vector<Value> edge_makespans(const PathInstance& inst,
 Value max_makespan(const PathInstance& inst, const SapSolution& sol) {
   Value best = 0;
   for (const Placement& p : sol.placements) {
-    // sapkit-lint: allow(exact-arith) -- same verified-solution bound as in
+    // sapkit-analyze: allow(exact-arith) -- same verified-solution bound as in
     // edge_makespans above: h + d <= c <= 2^62 is exact in int64.
     best = std::max(best, p.height + inst.task(p.task).demand);
   }

@@ -40,12 +40,12 @@ struct Ratio {
   [[nodiscard]] bool lt_scaled(Value a, Value b) const noexcept {
     return static_cast<Int128>(a) * den < static_cast<Int128>(num) * b;
   }
-  // sapkit-lint: begin-allow(float-ban) -- display-only conversion for bench
+  // sapkit-analyze: begin-allow(float-ban) -- display-only conversion for bench
   // tables and logs; no classification or feasibility decision consumes it.
   [[nodiscard]] double as_double() const noexcept {
     return static_cast<double>(num) / static_cast<double>(den);
   }
-  // sapkit-lint: end-allow(float-ban)
+  // sapkit-analyze: end-allow(float-ban)
 };
 
 /// A task on a path: it uses the closed edge range [first, last], has a

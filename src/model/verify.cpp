@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-// sapkit-lint: allow(determinism) -- duplicate-id membership test only; the
+// sapkit-analyze: allow(determinism) -- duplicate-id membership test only; the
 // set is queried, never iterated, so its order cannot reach any output.
 #include <unordered_set>
 
@@ -37,7 +37,7 @@ namespace {
 
 VerifyResult check_ids(const PathInstance& inst,
                        std::span<const TaskId> tasks) {
-  // sapkit-lint: allow(determinism) -- membership test only, never iterated.
+  // sapkit-analyze: allow(determinism) -- membership test only, never iterated.
   std::unordered_set<TaskId> seen;
   seen.reserve(tasks.size());
   for (TaskId j : tasks) {
@@ -161,7 +161,7 @@ VerifyResult verify_sap_impl(const PathInstance& inst, const SapSolution& sol,
   for (const Event& ev : events) {
     const Placement& p = sol.placements[ev.index];
     const Value bottom = p.height;
-    // sapkit-lint: allow(exact-arith) -- the same sum passed checked_add in
+    // sapkit-analyze: allow(exact-arith) -- the same sum passed checked_add in
     // the per-placement pass above, so recomputing it raw cannot overflow.
     const Value top = p.height + inst.task(p.task).demand;
     if (!ev.insert) {

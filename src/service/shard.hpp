@@ -48,9 +48,11 @@ class ShardPool {
 
   enum class Submit { kOk, kFull, kStopped };
 
+  /// A job stays `active` until its closure returns, including after it
+  /// has sent its reply; only drain() and stop() promise zero.
   struct ShardGauges {
     std::size_t queue_depth = 0;  ///< admitted, not yet started
-    std::size_t active = 0;       ///< running right now
+    std::size_t active = 0;       ///< started, closure not yet returned
   };
 
   explicit ShardPool(const Options& options);

@@ -1,6 +1,6 @@
 // Overflow-checked 64-bit arithmetic: the single blessed route for raw
 // `+`/`*` on quantity-typed values (demands, capacities, heights, weights)
-// in the exactness-critical directories. `sapkit_lint` (rule exact-arith)
+// in the exactness-critical directories. sapkit-analyze (rule exact-arith)
 // flags arithmetic on those quantities unless it goes through these helpers
 // or widens to Int128 first; see docs/STATIC_ANALYSIS.md.
 //

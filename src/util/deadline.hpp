@@ -13,7 +13,7 @@
 // Determinism contract: a deadline never changes *what* a stage computes,
 // only *whether* it finishes. Either branch is deterministic — the full
 // answer, or the typed timeout — which is why this is the one file in the
-// deterministic tree allowed to read the monotonic clock (sapkit-lint pins
+// deterministic tree allowed to read the monotonic clock (sapkit-analyze pins
 // every other use).
 #pragma once
 

@@ -148,7 +148,7 @@ TelemetrySession::TelemetrySession(TelemetryReport* report) noexcept
 
 TelemetrySession::~TelemetrySession() { g_sink = previous_; }
 
-// sapkit-lint: begin-allow(determinism) -- ScopedTimer reads the monotonic
+// sapkit-analyze: begin-allow(determinism) -- ScopedTimer reads the monotonic
 // clock to fill timer telemetry, which is declared nondeterministic and is
 // excluded from deterministic (counters-only) reports.
 ScopedTimer::ScopedTimer(const char* name) noexcept
@@ -162,6 +162,6 @@ ScopedTimer::~ScopedTimer() {
   sink_->add_time(name_, 1,
                   std::chrono::duration<double>(elapsed).count());
 }
-// sapkit-lint: end-allow(determinism)
+// sapkit-analyze: end-allow(determinism)
 
 }  // namespace sap

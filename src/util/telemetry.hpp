@@ -128,7 +128,7 @@ class ScopedTimer {
  private:
   const char* name_;
   TelemetryReport* sink_;
-  // sapkit-lint: allow(determinism) -- timer start point for telemetry
+  // sapkit-analyze: allow(determinism) -- timer start point for telemetry
   // only; timings are declared nondeterministic.
   std::chrono::steady_clock::time_point start_;
 };

@@ -1708,6 +1708,10 @@ TEST(ServiceShardTest, ShardedServerServesCorrectlyAndReportsPerShardGauges) {
   for (auto& thread : clients) thread.join();
   EXPECT_EQ(failures.load(), 0);
 
+  // A job stays `active` until its closure returns, which can be after its
+  // client holds the reply; stop() drains the shards, so every gauge must
+  // read zero after it.
+  server.stop();
   const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.requests_ok, kClients * kRequestsPerClient);
   ASSERT_EQ(stats.shards.size(), 4u);
@@ -1715,7 +1719,6 @@ TEST(ServiceShardTest, ShardedServerServesCorrectlyAndReportsPerShardGauges) {
     EXPECT_EQ(shard.queue_depth, 0u);
     EXPECT_EQ(shard.active, 0u);
   }
-  server.stop();
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ facts the semantic passes need:
   * direct deadline checks (Deadline/DeadlineGate .check()/.expired()).
 
 Heuristics err on the side of producing a usable model for idiomatic
-code; the fixture tree under fixtures/tree pins the behaviour for the
+code; the fixture tree under fixtures/semantic pins the behaviour for the
 constructs that matter (lambdas, overload sets, templates, function
 pointers, macro-heavy lines), and justified allow-comments absorb the
 residue on real code.
@@ -30,7 +30,7 @@ import dataclasses
 import re
 
 # ---------------------------------------------------------------------------
-# Tokenizer (shared shape with tools/sapkit_lint).
+# Tokenizer: shared by the lexical rules and the model extraction.
 # ---------------------------------------------------------------------------
 
 TOKEN_RE = re.compile(
@@ -50,9 +50,9 @@ _HEX_DIGITS = set("0123456789abcdefABCDEF")
 def strip_comments_and_strings(text: str) -> list[str]:
     """Per-line code with comments and string/char literals blanked.
 
-    Identical contract to sapkit_lint.strip_comments_and_strings: line
-    numbering is preserved, escapes are honoured, and comment text never
-    reaches the token stream.
+    Line numbering is preserved, escapes are honoured, and comment text
+    never reaches the token stream, so prose and allow comments never
+    trigger a rule.
     """
     out: list[list[str]] = [[]]
     i, n = 0, len(text)

@@ -1,12 +1,44 @@
 #!/usr/bin/env python3
-"""sapkit-analyze: call-graph-aware semantic analysis for the sapkit tree.
+"""sapkit-analyze: static analysis of the sapkit tree's project invariants.
 
-sapkit-lint (tools/sapkit_lint) is lexical and per-line; this tool is its
-flow-aware sibling.  It parses every translation unit under src/ with the
-brace/scope-aware scanner in cppmodel.py, links the extracted functions
-into one cross-TU call graph (callees resolved by name; overload sets are
-merged conservatively), and checks the invariants that only hold *across*
-functions:
+The paper's guarantees hold only because every feasibility check, DP and
+certificate rung is exact 64-bit integer arithmetic, and because solver
+output is a pure function of (instance, seed); the service and solvers
+also promise budgets, arena-only hot paths and deadlock-free locking.
+This tool turns those prose invariants (DESIGN.md section 1,
+docs/STATIC_ANALYSIS.md) into one gate.  It is not a compiler: it strips
+comments and string literals from every translation unit under src/,
+runs per-line lexical rules over the stripped lines, and parses the
+same text with the brace/scope-aware scanner in cppmodel.py into one
+cross-TU call graph (callees resolved by name; overload sets merged
+conservatively) for the rules that only hold *across* functions.
+
+Lexical rules (per line):
+
+  exact-arith          Raw `+`, `*`, `+=`, `*=` adjacent to a quantity-named
+                       operand (demand/weight/height/capacity/bottleneck)
+                       in the exactness-critical dirs.  Arithmetic on these
+                       int64 quantities must go through the overflow-checked
+                       helpers in src/util/checked.hpp (checked_add/
+                       checked_mul) or widen to Int128 first.  Subtraction
+                       is exempt: all quantities are validated non-negative,
+                       and int64 a-b with a,b >= 0 cannot overflow.
+  float-ban            `float`/`double` tokens in the exactness-critical
+                       dirs.  Floating point lives in src/lp/ (out of scope
+                       by construction) and the declared LP-dual-repair
+                       region of src/cert/ladder.cpp.
+  determinism          Nondeterminism sources in solver/harness paths:
+                       wall-clock reads, ambient randomness (rand/srand/
+                       random_device), libstdc++ <random> distributions
+                       (not bit-portable; use sap::Rng), and unordered
+                       containers (a justified allow must state that
+                       iteration order never reaches output).  The
+                       monotonic clock (steady_clock) is banned too:
+                       deadline checks route through sap::Deadline, whose
+                       home src/util/deadline.hpp is the single exempt
+                       file; telemetry-only timing reads need an allow.
+
+Call-graph rules:
 
   deadline-coverage    Solver loops must poll the deadline.  In the
                        deadline dirs (src/exact, src/ufpp, src/lp,
@@ -37,23 +69,26 @@ functions:
                        entry points, frame I/O (write_frame/read_frame),
                        socket calls, thread joins, sleeps, or condition
                        waits on a monitor other than the held lock.
-  checked-arith        Expression-aware escalation of sapkit-lint's
-                       exact-arith rule: raw `+`/`*` where BOTH operands
-                       are quantity-valued and at least one is a
-                       Value/Weight-typed variable whose *name* the
-                       lexical rule cannot see.  Such statements must
-                       route through util/checked.hpp or widen to Int128.
+  checked-arith        Expression-aware escalation of exact-arith: raw
+                       `+`/`*` where BOTH operands are quantity-valued and
+                       at least one is a Value/Weight-typed variable whose
+                       *name* the lexical rule cannot see.  Such statements
+                       must route through util/checked.hpp or widen to
+                       Int128.
 
-False positives are silenced with the same justified-allow grammar as
-sapkit-lint, under this tool's own marker:
+False positives are silenced with a justified allow-comment:
 
     // sapkit-analyze: allow(<rule>) -- <justification>
     // sapkit-analyze: begin-allow(<rule>) -- <justification>
     // sapkit-analyze: end-allow(<rule>)
 
-A line-allow covers its own line and the next code line; a justification
-is mandatory; an allow that suppresses nothing is itself an error
-(unused-allow), so stale escapes rot into build failures.
+A line-allow covers its own line and the next code line (skipping
+comment-only continuation lines); a region covers begin to end.  The
+justification is mandatory; a malformed comment is an allow-syntax
+finding, and an allow that suppresses nothing is an unused-allow finding,
+so stale escapes rot into build failures.  An allow(exact-arith) also
+covers checked-arith findings on its lines: one justification serves both
+forms of the same invariant.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -79,14 +114,32 @@ from cppmodel import (  # noqa: E402
 # Rule table and scopes (posix path prefixes relative to the repo root)
 # --------------------------------------------------------------------------
 
+EXACT_DIRS = ("src/model", "src/exact", "src/cert", "src/core", "src/round")
+# Solver / harness paths whose output must be a pure function of
+# (instance, seed).  src/service is excluded: it is an I/O layer whose
+# latency stats are inherently timing-dependent, and every solve result it
+# returns is produced by the covered solver paths.
+DETERMINISTIC_DIRS = (
+    "src/model", "src/exact", "src/cert", "src/core", "src/ufpp",
+    "src/dsa", "src/sapu", "src/knapsack", "src/gen", "src/harness",
+    "src/lp", "src/io", "src/util", "src/round",
+)
 DEADLINE_DIRS = ("src/exact", "src/ufpp", "src/lp", "src/cert", "src/round")
 HOT_DIRS = ("src/lp", "src/exact", "src/core", "src/ufpp", "src/round")
 LOCK_DIRS = ("src/service", "src/util")
-EXACT_DIRS = ("src/model", "src/exact", "src/cert", "src/core", "src/round")
 SOLVER_DIRS = ("src/core", "src/exact", "src/ufpp", "src/lp", "src/cert",
                "src/round", "src/dsa", "src/sapu", "src/knapsack")
 
+# The one file in the deterministic tree sanctioned to read the monotonic
+# clock.  Everything else routes deadline/budget checks through the
+# sap::Deadline/DeadlineGate types it defines; timing reads that only feed
+# telemetry (declared nondeterministic) carry a justified allow-comment.
+MONOTONIC_CLOCK_HOME = "src/util/deadline.hpp"
+
 RULE_SCOPES = {
+    "exact-arith": EXACT_DIRS,
+    "float-ban": EXACT_DIRS,
+    "determinism": DETERMINISTIC_DIRS,
     "deadline-coverage": DEADLINE_DIRS,
     "deadline-forwarding": DEADLINE_DIRS,
     "arena-discipline": HOT_DIRS,
@@ -96,6 +149,10 @@ RULE_SCOPES = {
 }
 META_RULES = ("allow-syntax", "unused-allow")
 ALL_RULES = tuple(RULE_SCOPES) + META_RULES
+
+# The rules whose allows may suppress a finding of the keyed rule: an
+# exact-arith justification already covers its expression-aware form.
+ALLOW_ALIASES = {"checked-arith": ("checked-arith", "exact-arith")}
 
 SOURCE_EXTENSIONS = (".cpp", ".hpp", ".cc", ".hh", ".h")
 
@@ -119,27 +176,62 @@ BLOCKING_NAMES = {
 }
 _SOLVER_NAME_RE = re.compile(r"^(?:solve|certify)|_exact$")
 
-# Mirrors of sapkit-lint's lexical tables (kept textually in sync; the two
-# tools stay import-independent so each runs standalone).
+# Quantity vocabulary: lower-case member/local names only, so type names
+# (Weight, Value) and pointer declarations (`Weight* w`) never match.
 _QUANTITY_RE = re.compile(
     r"(?:^|_)(?:demands?|weights?|heights?|capacity|capacities|"
     r"bottlenecks?)(?:_|$)"
 )
+# Tokens whose presence on a line sanctions raw arithmetic: the statement is
+# already routed through the checked helpers or 128-bit widening.
 _CHECKED_MARKERS = re.compile(
     r"\b(?:checked_\w+|__builtin_add_overflow|__builtin_sub_overflow|"
     r"__builtin_mul_overflow|Int128|Uint128)\b"
 )
+# If the previous token is one of these, a following +/-/* is unary (or a
+# pointer/reference declarator), not binary arithmetic.
 _UNARY_PREV = {
     None, "(", "[", "{", ",", ";", "=", "return", "case", "<", ">", "<=",
     ">=", "==", "!=", "&&", "||", "!", "?", ":", "+", "-", "*", "/", "%",
     "<<", ">>", "+=", "-=", "*=", "/=", "%=", "&", "|", "^", "&&=", "::",
 }
+# Tokens that read as a type name directly before '*': the '*' is a pointer
+# declarator, not multiplication (e.g. `Value* out`, `const Weight* w`).
 _TYPE_PREV_RE = re.compile(
     r"^(?:long|int|short|signed|unsigned|char|bool|void|auto|const|constexpr"
     r"|Value|Weight|EdgeId|TaskId|Int128|Uint128|std|size_t|ptrdiff_t"
     r"|\w+_t|uint\d+|int\d+|double|float)$"
 )
+_ARITH_OPS = {"+", "*", "+=", "*="}
 QUANTITY_TYPES = {"Value", "Weight"}
+
+_FLOAT_RE = re.compile(r"\b(?:float|double)\b")
+
+# Banned nondeterminism sources.  Word-boundary anchored so e.g.
+# `wall_time(` never matches `time(`.
+_STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\b")
+_NONDET_RES = (
+    (re.compile(r"\brand\s*\("), "rand() draws from ambient global state"),
+    (re.compile(r"\bsrand\s*\("), "srand() mutates ambient global state"),
+    (re.compile(r"\brandom_device\b"), "std::random_device is nondeterministic"),
+    (re.compile(r"\brandom_shuffle\b"), "std::random_shuffle uses ambient randomness"),
+    (re.compile(r"\bsystem_clock\b"), "wall clock (system_clock) in a solver path"),
+    (re.compile(r"\bhigh_resolution_clock\b"),
+     "high_resolution_clock may alias the wall clock"),
+    (re.compile(r"\bgettimeofday\b"), "wall clock (gettimeofday) in a solver path"),
+    (re.compile(r"\blocaltime\b"), "wall clock (localtime) in a solver path"),
+    (re.compile(r"\btime\s*\("), "wall clock (time()) in a solver path"),
+    (_STEADY_CLOCK_RE,
+     "monotonic clock read outside src/util/deadline.hpp: route deadline "
+     "checks through sap::Deadline, or justify a telemetry-only timing "
+     "read with an allow"),
+    (re.compile(r"\bmt19937(?:_64)?\b"),
+     "std::mt19937 bypasses sap::Rng (seed discipline lives there)"),
+    (re.compile(r"\b\w*_distribution\b"),
+     "libstdc++ <random> distributions are not portable bit-exactly; "
+     "use sap::Rng helpers"),
+)
+_UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 
 _ALLOW_RE = re.compile(
     r"//\s*sapkit-analyze:\s*(allow|begin-allow|end-allow)\s*"
@@ -171,8 +263,8 @@ class Allow:
 
 def collect_allows(raw_lines: list[str], path: str
                    ) -> tuple[list[Allow], list[Finding]]:
-    """Same grammar and semantics as sapkit_lint.collect_allows, under the
-    sapkit-analyze marker and this tool's rule table."""
+    """Parses every sapkit-analyze comment in one file into allows, plus
+    allow-syntax findings for the malformed ones."""
     allows: list[Allow] = []
     findings: list[Finding] = []
     open_regions: dict[str, Allow] = {}
@@ -209,6 +301,9 @@ def collect_allows(raw_lines: list[str], path: str
                 f"'... {kind}({rule}) -- <why this is safe>'"))
             continue
         if kind == "allow":
+            # A line-allow covers the next code line.  Justifications often
+            # wrap across several comment lines, so skip over comment-only
+            # continuation lines to find it.
             end = lineno + 1
             while end <= len(raw_lines) and \
                     raw_lines[end - 1].lstrip().startswith("//"):
@@ -231,12 +326,111 @@ def collect_allows(raw_lines: list[str], path: str
 
 
 # --------------------------------------------------------------------------
+# Lexical passes: one matcher per rule over a file's stripped code lines,
+# yielding (line, message).  Only determinism reads the path (for the
+# MONOTONIC_CLOCK_HOME exemption).
+# --------------------------------------------------------------------------
+
+def _is_binary_arith(tok: str, prev: str | None) -> bool:
+    """Whether `tok` is a raw +, *, += or *= applied as binary arithmetic,
+    given the token before it (not unary, not a pointer declarator)."""
+    if tok not in _ARITH_OPS:
+        return False
+    if tok in ("+", "*") and prev in _UNARY_PREV:
+        return False
+    return not (tok == "*" and prev is not None and _TYPE_PREV_RE.match(prev))
+
+
+def match_exact_arith(code_lines: list[str], rel_path: str):
+    for lineno, code in enumerate(code_lines, start=1):
+        if "+" not in code and "*" not in code:
+            continue
+        if _CHECKED_MARKERS.search(code):
+            continue
+        tokens = cppmodel.TOKEN_RE.findall(code)
+        for idx, tok in enumerate(tokens):
+            if not _is_binary_arith(tok, tokens[idx - 1] if idx else None):
+                continue
+            # The operand window: a few tokens to the left, and everything up
+            # to the end of the statement on the right (quantity member
+            # accesses like `inst.task(j).weight` put the interesting token
+            # well past the operator).
+            stmt_end = next((k for k in range(idx, len(tokens))
+                             if tokens[k] == ";"), len(tokens))
+            window = tokens[max(0, idx - 4):idx] + tokens[idx + 1:stmt_end]
+            hit = next((t for t in window if _QUANTITY_RE.search(t)), None)
+            if hit is None:
+                continue
+            yield (lineno,
+                   f"raw '{tok}' on quantity operand '{hit}': route through "
+                   "checked_add/checked_mul (src/util/checked.hpp) or widen "
+                   "to Int128")
+            break  # one finding per line is enough
+
+
+def match_float_ban(code_lines: list[str], rel_path: str):
+    for lineno, code in enumerate(code_lines, start=1):
+        m = _FLOAT_RE.search(code)
+        if m:
+            yield (lineno,
+                   f"'{m.group(0)}' in an exactness-critical directory "
+                   "(floating point belongs in src/lp/ or the declared "
+                   "region of src/cert/ladder.cpp)")
+
+
+def match_determinism(code_lines: list[str], rel_path: str):
+    clock_home = rel_path == MONOTONIC_CLOCK_HOME
+    for lineno, code in enumerate(code_lines, start=1):
+        for pattern, why in _NONDET_RES:
+            if pattern is _STEADY_CLOCK_RE and clock_home:
+                continue
+            if pattern.search(code):
+                yield (lineno, why)
+                break
+        else:
+            m = _UNORDERED_RE.search(code)
+            if m:
+                yield (lineno,
+                       f"'{m.group(0)}' in a deterministic path: iteration "
+                       "order is unspecified; justify that it never feeds "
+                       "output, or use an ordered container")
+
+
+def lexical_pass(rule: str, matcher):
+    """The pass that runs `matcher` over every file in `rule`'s scope."""
+    def run(prog: "Program") -> list[Finding]:
+        return [Finding(rel, lineno, rule, message)
+                for rel, code_lines in prog.code_lines.items()
+                if in_dirs(rel, RULE_SCOPES[rule])
+                for lineno, message in matcher(code_lines, rel)]
+    return run
+
+
+# --------------------------------------------------------------------------
 # Program model
 # --------------------------------------------------------------------------
 
 def in_dirs(rel_path: str, dirs: tuple[str, ...]) -> bool:
     posix = rel_path.replace(os.sep, "/")
     return any(posix == d or posix.startswith(d + "/") for d in dirs)
+
+
+def source_files(target: str) -> list[str]:
+    """The C++ sources at `target` (a file, or a tree walked in sorted
+    order) as absolute paths."""
+    target = os.path.abspath(target)
+    if os.path.isfile(target):
+        return [target]
+    out = []
+    for dirpath, dirnames, filenames in os.walk(target):
+        dirnames.sort()
+        out.extend(os.path.join(dirpath, name) for name in sorted(filenames)
+                   if name.endswith(SOURCE_EXTENSIONS))
+    return out
+
+
+def rel_path_of(path: str, root: str) -> str:
+    return os.path.relpath(path, root).replace(os.sep, "/")
 
 
 class Program:
@@ -255,20 +449,13 @@ class Program:
     def build(cls, root: str) -> "Program":
         prog = cls()
         texts: list[tuple[str, str, str]] = []   # (abs, rel, text)
-        src = os.path.join(root, "src")
-        for dirpath, dirnames, filenames in os.walk(src):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if not name.endswith(SOURCE_EXTENSIONS):
-                    continue
-                abs_path = os.path.join(dirpath, name)
-                rel = os.path.relpath(abs_path, root).replace(os.sep, "/")
-                try:
-                    with open(abs_path, encoding="utf-8") as f:
-                        text = f.read()
-                except (OSError, UnicodeDecodeError):
-                    continue
-                texts.append((abs_path, rel, text))
+        for abs_path in source_files(os.path.join(root, "src")):
+            try:
+                with open(abs_path, encoding="utf-8") as f:
+                    texts.append((abs_path, rel_path_of(abs_path, root),
+                                  f.read()))
+            except (OSError, UnicodeDecodeError):
+                continue
         # Pass A: collect class members from every TU so method bodies in
         # .cpp files resolve members declared in headers.
         for abs_path, rel, text in texts:
@@ -849,8 +1036,6 @@ def _lock_cycles(edges: dict[tuple[str, str], tuple[str, int, str]]
 # Checked-arith pass
 # --------------------------------------------------------------------------
 
-_ARITH_OPS = {"+", "*", "+=", "*="}
-
 
 def _operand_left(toks, idx: int, func: FunctionDef, prog: Program
                   ) -> tuple[bool, bool, str]:
@@ -917,72 +1102,24 @@ def _operand_right(toks, idx: int, func: FunctionDef, prog: Program
     return vocab or typed, typed and not vocab, name
 
 
-_LINT_ARITH_ALLOW = re.compile(
-    r"//\s*sapkit-lint:\s*(allow|begin-allow|end-allow)\(([^)]*)\)")
-
-
-def lint_exact_arith_lines(raw_lines: list[str]) -> set[int]:
-    """1-based lines sanctioned by sapkit-lint's `exact-arith` allows.
-
-    checked-arith is the expression-aware upgrade of that lexical rule, so a
-    justification already accepted by the linter covers the semantic finding
-    too — one allow, both tools.  Mirrors the linter's scope rules: a line
-    allow covers its own line plus the next code line (skipping `//`
-    continuations); begin/end covers the region.
-    """
-    out: set[int] = set()
-    region = False
-    pending = 0  # line allows waiting for their next code line
-    for lineno, raw in enumerate(raw_lines, start=1):
-        m = _LINT_ARITH_ALLOW.search(raw)
-        if m and "exact-arith" in m.group(2):
-            kind = m.group(1)
-            if kind == "begin-allow":
-                region = True
-            elif kind == "end-allow":
-                region = False
-                out.add(lineno)
-            else:
-                out.add(lineno)
-                pending += 1
-            continue
-        if region:
-            out.add(lineno)
-            continue
-        if pending:
-            if raw.strip().startswith("//"):
-                continue  # justification continuation
-            out.add(lineno)
-            pending = 0
-    return out
-
-
 def pass_checked_arith(prog: Program) -> list[Finding]:
     findings: list[Finding] = []
     for model in prog.files:
         if not in_dirs(model.path, EXACT_DIRS):
             continue
         code_lines = prog.code_lines[model.path]
-        lint_allowed = lint_exact_arith_lines(prog.raw_lines[model.path])
         flagged: set[int] = set()
         for func in model.functions:
             lo, hi = func.body
             toks = model.toks
             for idx in range(lo, hi):
                 t = toks[idx].text
-                if t not in _ARITH_OPS:
-                    continue
                 line = toks[idx].line
-                if line in flagged or line in lint_allowed:
+                if line in flagged or not _is_binary_arith(
+                        t, toks[idx - 1].text if idx > 0 else None):
                     continue
                 if line - 1 < len(code_lines) and \
                         _CHECKED_MARKERS.search(code_lines[line - 1]):
-                    continue
-                prev = toks[idx - 1].text if idx > 0 else None
-                if t in ("+", "*") and prev in _UNARY_PREV:
-                    continue
-                if t == "*" and prev is not None and \
-                        _TYPE_PREV_RE.match(prev):
                     continue
                 lq, ltyped, lname = _operand_left(toks, idx, func, prog)
                 rq, rtyped, rname = _operand_right(toks, idx, func, prog)
@@ -1003,6 +1140,9 @@ def pass_checked_arith(prog: Program) -> list[Finding]:
 # --------------------------------------------------------------------------
 
 PASSES = {
+    "exact-arith": lexical_pass("exact-arith", match_exact_arith),
+    "float-ban": lexical_pass("float-ban", match_float_ban),
+    "determinism": lexical_pass("determinism", match_determinism),
     "deadline-coverage": pass_deadline_coverage,
     "deadline-forwarding": pass_deadline_forwarding,
     "arena-discipline": pass_arena_discipline,
@@ -1011,7 +1151,12 @@ PASSES = {
 # lock-order and lock-blocking share one pass.
 
 
-def run_analysis(root: str, rules: tuple[str, ...]) -> list[Finding]:
+def run_analysis(root: str, rules: tuple[str, ...],
+                 report_paths: set[str] | None = None) -> list[Finding]:
+    """Runs `rules` over <root>/src and returns the findings the allows
+    leave, plus the allow-syntax / unused-allow meta findings, restricted
+    to `report_paths` when given (the call graph always spans all of
+    src/)."""
     prog = Program.build(root)
     findings: list[Finding] = []
     for rule in rules:
@@ -1020,50 +1165,37 @@ def run_analysis(root: str, rules: tuple[str, ...]) -> list[Finding]:
     if "lock-order" in rules or "lock-blocking" in rules:
         lock_findings = pass_locks(prog)
         findings.extend(f for f in lock_findings if f.rule in rules)
-    return findings
+    return apply_allows(findings, prog, rules, report_paths)
 
 
-def apply_allows(findings: list[Finding], prog_root: str,
+def apply_allows(findings: list[Finding], prog: Program,
+                 rules: tuple[str, ...],
                  report_paths: set[str] | None) -> list[Finding]:
-    """Filters findings through per-file allow comments and appends
-    allow-syntax / unused-allow meta findings for every file that carries
-    a sapkit-analyze comment or a finding."""
+    """Filters findings through each file's allow comments and appends the
+    meta findings.  Every file is checked, not only those with findings: a
+    stale allow in a clean file must still rot.  Only allows of rules that
+    ran can be judged stale."""
     by_file: dict[str, list[Finding]] = {}
     for f in findings:
         by_file.setdefault(f.path, []).append(f)
 
     out: list[Finding] = []
-    # Every source file needs its allows checked (a stale allow in a file
-    # with no findings must still rot), so walk the tree.
-    src = os.path.join(prog_root, "src")
-    all_rel: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(src):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(SOURCE_EXTENSIONS):
-                abs_path = os.path.join(dirpath, name)
-                all_rel.append(
-                    os.path.relpath(abs_path, prog_root).replace(os.sep, "/"))
-    for rel in all_rel:
+    for rel, raw_lines in prog.raw_lines.items():
         if report_paths is not None and rel not in report_paths:
-            continue
-        try:
-            with open(os.path.join(prog_root, rel), encoding="utf-8") as f:
-                raw_lines = f.read().split("\n")
-        except (OSError, UnicodeDecodeError):
             continue
         allows, meta = collect_allows(raw_lines, rel)
         out.extend(meta)
         for finding in by_file.get(rel, []):
+            covering = ALLOW_ALIASES.get(finding.rule, (finding.rule,))
             allow = next((a for a in allows
-                          if a.rule == finding.rule and
+                          if a.rule in covering and
                           a.line <= finding.line <= a.end), None)
             if allow is not None:
                 allow.used = True
             else:
                 out.append(finding)
         for allow in allows:
-            if not allow.used:
+            if not allow.used and allow.rule in rules:
                 out.append(Finding(
                     rel, allow.line, "unused-allow",
                     f"allow({allow.rule}) suppresses nothing; delete it "
@@ -1074,8 +1206,8 @@ def apply_allows(findings: list[Finding], prog_root: str,
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="sapkit_analyze",
-        description="Call-graph-aware semantic analysis for the sapkit "
-                    "tree (sibling to sapkit_lint).")
+        description="Project-invariant static analysis for the sapkit "
+                    "tree.")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to report on "
                              "(default: <root>/src); the whole of "
@@ -1111,25 +1243,9 @@ def main(argv: list[str]) -> int:
     root = os.path.abspath(args.root)
     report_paths: set[str] | None = None
     if args.paths:
-        report_paths = set()
-        for target in args.paths:
-            abs_target = os.path.abspath(target)
-            if os.path.isfile(abs_target):
-                report_paths.add(
-                    os.path.relpath(abs_target, root).replace(os.sep, "/"))
-                continue
-            for dirpath, dirnames, filenames in os.walk(abs_target):
-                dirnames.sort()
-                for name in sorted(filenames):
-                    if name.endswith(SOURCE_EXTENSIONS):
-                        abs_path = os.path.join(dirpath, name)
-                        report_paths.add(os.path.relpath(
-                            abs_path, root).replace(os.sep, "/"))
-
-    findings = run_analysis(root, rules)
-    if report_paths is not None:
-        findings = [f for f in findings if f.path in report_paths]
-    findings = apply_allows(findings, root, report_paths)
+        report_paths = {rel_path_of(path, root) for target in args.paths
+                        for path in source_files(target)}
+    findings = run_analysis(root, rules, report_paths)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
     if args.json:
