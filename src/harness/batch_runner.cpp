@@ -348,16 +348,13 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
     if (config.certify) {
       out.algo_weight = ring.solution_weight(sol);
       certify_case(ring, sol, {}, config.check, &out);
-    } else if (config.compute_bound) {
+    } else {
       ScopedTimer timer("batch.bound");
       const RatioMeasurement m = measure_ring_ratio(ring, sol);
       out.algo_weight = m.algo_weight;
       out.bound = m.bound;
       out.bound_exact = m.bound_exact;
       out.ratio = m.ratio;
-    } else {
-      out.algo_weight = ring.solution_weight(sol);
-      out.ratio = std::numeric_limits<double>::quiet_NaN();
     }
     return out;
   };

@@ -169,7 +169,6 @@ struct PathBatchConfig {
 struct RingBatchConfig {
   RingGenOptions gen;
   RingSolverParams solver;
-  bool compute_bound = true;  ///< false: skip the LP, report weights only
   bool certify = false;
   cert::CheckOptions check;
 };

@@ -72,21 +72,6 @@ int connect_with_timeout(int fd, const sockaddr* addr, socklen_t addrlen,
   return result;
 }
 
-Client::SolveOutcome served(const std::string& payload) {
-  Client::SolveOutcome outcome;
-  outcome.ok = true;
-  outcome.response = parse_solve_response(payload);
-  return outcome;
-}
-
-Client::SolveOutcome rejected(const ErrorResponse& error, bool local_timeout) {
-  Client::SolveOutcome outcome;
-  outcome.error_code = error.code;
-  outcome.error_message = error.message;
-  outcome.local_timeout = local_timeout;
-  return outcome;
-}
-
 }  // namespace
 
 struct Client::Reply {
@@ -232,44 +217,16 @@ Client::SolveOutcome Client::solve(const SolveRequest& request) {
   Reply reply = round_trip(FrameType::kSolveRequest,
                            encode_solve_request(request),
                            FrameType::kSolveResponse);
-  if (reply.is_error) return rejected(reply.error, reply.local_timeout);
-  return served(reply.payload);
-}
-
-std::vector<Client::SolveOutcome> Client::solve_batch(
-    const std::vector<SolveRequest>& requests) {
-  if (requests.empty()) return {};
-  std::vector<std::string> items;
-  items.reserve(requests.size());
-  for (const SolveRequest& request : requests) {
-    items.push_back(encode_solve_request(request));
-  }
-  Reply reply = round_trip(FrameType::kBatchSolveRequest,
-                           encode_batch_solve_request(items),
-                           FrameType::kBatchSolveResponse);
+  SolveOutcome outcome;
   if (reply.is_error) {
-    // Whole-frame rejection (malformed outer envelope, item limit, local
-    // timeout): every slot shares the same fate.
-    return std::vector<SolveOutcome>(
-        requests.size(), rejected(reply.error, reply.local_timeout));
+    outcome.error_code = reply.error.code;
+    outcome.error_message = std::move(reply.error.message);
+    outcome.local_timeout = reply.local_timeout;
+  } else {
+    outcome.ok = true;
+    outcome.response = parse_solve_response(reply.payload);
   }
-  const std::vector<BatchItemResult> slots =
-      parse_batch_solve_response(reply.payload, requests.size());
-  if (slots.size() != requests.size()) {
-    close();
-    throw std::runtime_error(
-        "sapd client: batch response count mismatch (sent " +
-        std::to_string(requests.size()) + ", got " +
-        std::to_string(slots.size()) + ")");
-  }
-  std::vector<SolveOutcome> outcomes;
-  outcomes.reserve(slots.size());
-  for (const BatchItemResult& slot : slots) {
-    outcomes.push_back(slot.ok ? served(slot.payload)
-                               : rejected(parse_error_response(slot.payload),
-                                          /*local_timeout=*/false));
-  }
-  return outcomes;
+  return outcome;
 }
 
 std::int64_t Client::backoff_ms(const RetryPolicy& policy, int attempt,

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/model/task.hpp"
 
@@ -31,13 +30,9 @@ inline constexpr std::size_t kDefaultMaxFramePayload = 16u << 20;  // 16 MiB
 enum class FrameType : std::uint32_t {
   kSolveRequest = 1,
   kStatsRequest = 2,
-  /// One frame carrying N independent solve request payloads (a sweep in
-  /// one round trip).
-  kBatchSolveRequest = 3,
   kSolveResponse = 17,
   kStatsResponse = 18,
   kErrorResponse = 19,
-  kBatchSolveResponse = 20,
 };
 
 /// Typed rejection codes carried by kErrorResponse frames.
@@ -134,40 +129,5 @@ struct ErrorResponse {
 
 [[nodiscard]] std::string encode_error_response(const ErrorResponse& error);
 [[nodiscard]] ErrorResponse parse_error_response(std::string_view payload);
-
-/// Item ceiling a receiver applies to batch frames before touching any
-/// inner payload (like max_frame_payload, an attacker-declared count can
-/// never drive allocation).
-inline constexpr std::size_t kDefaultMaxBatchItems = 64;
-
-/// Batch envelope (kBatchSolveRequest):
-///   sapd-batch v1
-///   count <N>
-///   request <nbytes>\n<nbytes raw bytes>     (N times)
-/// Every inner blob is a complete sapd-solve v1 payload, carried opaquely
-/// — the server parses each one independently, so one malformed item
-/// rejects that item, not the batch.
-[[nodiscard]] std::string encode_batch_solve_request(
-    const std::vector<std::string>& items);
-/// Throws std::invalid_argument on a malformed outer envelope (bad count,
-/// count over `max_items`, truncated inner section, trailing bytes).
-[[nodiscard]] std::vector<std::string> parse_batch_solve_request(
-    std::string_view payload, std::size_t max_items = kDefaultMaxBatchItems);
-
-/// One slot of a batch response: a solve-response payload (ok) or an
-/// error-response payload (rejected item), position-matched to the request.
-struct BatchItemResult {
-  bool ok = false;
-  std::string payload;
-};
-
-/// Batch response envelope (kBatchSolveResponse):
-///   sapd-batch-result v1
-///   count <N>
-///   ok <nbytes>\n<bytes> | error <nbytes>\n<bytes>   (N times)
-[[nodiscard]] std::string encode_batch_solve_response(
-    const std::vector<BatchItemResult>& items);
-[[nodiscard]] std::vector<BatchItemResult> parse_batch_solve_response(
-    std::string_view payload, std::size_t max_items = kDefaultMaxBatchItems);
 
 }  // namespace sap::service

@@ -21,19 +21,6 @@ constexpr std::size_t kLatencyReservoirCapacity = 4096;
 
 }  // namespace
 
-/// Aggregation state for one kBatchSolveRequest frame. Each item's solve
-/// writes its own slot (distinct indices, so no lock is needed); the solve
-/// that decrements `remaining` to zero encodes and sends the response —
-/// the acq_rel decrement orders every slot write before that encode.
-struct Server::BatchContext {
-  BatchContext(ConnPtr conn_in, std::size_t n)
-      : conn(std::move(conn_in)), slots(n), remaining(n) {}
-
-  ConnPtr conn;
-  std::vector<BatchItemResult> slots;
-  std::atomic<std::size_t> remaining;
-};
-
 std::string stats_to_json(const ServerStats& stats) {
   std::ostringstream os;
   os << "{\n";
@@ -49,8 +36,7 @@ std::string stats_to_json(const ServerStats& stats) {
   os << "    \"deadline_exceeded\": " << stats.requests_deadline_exceeded
      << ",\n";
   os << "    \"degraded\": " << stats.requests_degraded << ",\n";
-  os << "    \"stats\": " << stats.stats_requests << ",\n";
-  os << "    \"batch\": " << stats.batch_requests << "\n";
+  os << "    \"stats\": " << stats.stats_requests << "\n";
   os << "  },\n";
   os << "  \"queue_depth\": " << stats.queue_depth << ",\n";
   os << "  \"active_solves\": " << stats.active_solves << ",\n";
@@ -240,10 +226,7 @@ void Server::on_frame(const ConnPtr& conn, std::uint32_t type,
                       std::string payload) {
   switch (static_cast<FrameType>(type)) {
     case FrameType::kSolveRequest:
-      handle_solve_frame(conn, std::move(payload));
-      break;
-    case FrameType::kBatchSolveRequest:
-      handle_batch_frame(conn, std::move(payload));
+      handle_solve_frame(conn, payload);
       break;
     case FrameType::kStatsRequest:
       stats_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -276,53 +259,14 @@ void Server::on_protocol_error(const ConnPtr& conn, ReadStatus status,
               /*close_after_flush=*/true);
 }
 
-void Server::handle_solve_frame(const ConnPtr& conn, std::string payload) {
+void Server::handle_solve_frame(const ConnPtr& conn,
+                                const std::string& payload) {
   ResponseTarget target;
   target.conn = conn;
-  target.counts_pending = true;
   target.admitted_at = std::chrono::steady_clock::now();
   // Promise the response before any other thread can get involved, so the
   // loop keeps the connection alive until this request is answered.
   conn->add_pending_response();
-  dispatch_payload(std::move(target), payload);
-}
-
-void Server::handle_batch_frame(const ConnPtr& conn, std::string payload) {
-  batch_requests_.fetch_add(1, std::memory_order_relaxed);
-  // One promise for the whole frame, fulfilled by the aggregated response.
-  conn->add_pending_response();
-
-  std::vector<std::string> items;
-  try {
-    items = parse_batch_solve_request(payload, options_.max_batch_items);
-  } catch (const std::invalid_argument& error) {
-    // Malformed *outer* envelope: reject the frame as a whole. (A malformed
-    // inner item only rejects that slot, below.)
-    requests_bad_.fetch_add(1, std::memory_order_relaxed);
-    ResponseTarget target;
-    target.conn = conn;
-    target.counts_pending = true;
-    complete_error(target, ErrorCode::kBadRequest, error.what());
-    return;
-  }
-
-  const auto batch = std::make_shared<BatchContext>(conn, items.size());
-  const auto admitted_at = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ResponseTarget target;
-    target.conn = conn;
-    target.batch = batch;
-    target.slot = i;
-    // The batch's single pending promise is consumed by the aggregated
-    // send in finish_batch_slot, not by the per-item completions.
-    target.counts_pending = false;
-    target.admitted_at = admitted_at;
-    dispatch_payload(std::move(target), items[i]);
-  }
-}
-
-void Server::dispatch_payload(ResponseTarget target,
-                              const std::string& payload) {
   SolveRequest request;
   try {
     request = parse_solve_request(payload);
@@ -473,36 +417,15 @@ bool Server::run_solve_request(const SolveRequest& request,
 
 void Server::complete_ok(const ResponseTarget& target,
                          const std::string& payload) {
-  if (target.batch) {
-    finish_batch_slot(target, true, payload);
-  } else {
-    loop_->send(target.conn, FrameType::kSolveResponse, payload,
-                /*close_after_flush=*/false,
-                /*completes_pending=*/target.counts_pending);
-  }
+  loop_->send(target.conn, FrameType::kSolveResponse, payload,
+              /*close_after_flush=*/false, /*completes_pending=*/true);
 }
 
 void Server::complete_error(const ResponseTarget& target, ErrorCode code,
                             const std::string& message) {
-  const std::string payload = encode_error_response({code, message});
-  if (target.batch) {
-    finish_batch_slot(target, false, payload);
-  } else {
-    loop_->send(target.conn, FrameType::kErrorResponse, payload,
-                /*close_after_flush=*/false,
-                /*completes_pending=*/target.counts_pending);
-  }
-}
-
-void Server::finish_batch_slot(const ResponseTarget& target, bool ok,
-                               std::string payload) {
-  BatchContext& batch = *target.batch;
-  batch.slots[target.slot] = {ok, std::move(payload)};
-  if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    loop_->send(batch.conn, FrameType::kBatchSolveResponse,
-                encode_batch_solve_response(batch.slots),
-                /*close_after_flush=*/false, /*completes_pending=*/true);
-  }
+  loop_->send(target.conn, FrameType::kErrorResponse,
+              encode_error_response({code, message}),
+              /*close_after_flush=*/false, /*completes_pending=*/true);
 }
 
 void Server::count_rejection(ErrorCode code) {
@@ -605,7 +528,6 @@ ServerStats Server::stats_snapshot() const {
       requests_deadline_exceeded_.load(std::memory_order_relaxed);
   stats.requests_degraded = requests_degraded_.load(std::memory_order_relaxed);
   stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  stats.batch_requests = batch_requests_.load(std::memory_order_relaxed);
   if (shards_) {
     stats.shards = shards_->gauges();
     for (const ShardPool::ShardGauges& shard : stats.shards) {

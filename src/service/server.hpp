@@ -15,10 +15,7 @@
 //     canonical digest, serves repeated instances without solving and
 //     coalesces concurrent identical solves into one computation whose
 //     byte-identical response fans out to every waiter. Degraded or
-//     errored computations are never cached;
-//   - a batched frame (kBatchSolveRequest) carries N independent solve
-//     payloads in one round trip; items are individually admitted, cached
-//     and sharded, and the aggregated response preserves order.
+//     errored computations are never cached.
 //
 // Shutdown contract (SIGTERM-friendly, exercised under ASan): stop() closes
 // the listener first, lets every admitted solve finish, flushes every
@@ -90,8 +87,6 @@ struct ServerOptions {
   std::string cache_persist_path;
   /// Frame payload ceiling enforced before allocation.
   std::size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Items per kBatchSolveRequest frame, enforced before any inner parse.
-  std::size_t max_batch_items = kDefaultMaxBatchItems;
   /// Caps applied when parsing network-supplied instance text.
   ReadLimits read_limits{.max_edges = 1'000'000,
                          .max_tasks = 1'000'000,
@@ -133,7 +128,6 @@ struct ServerStats {
   std::uint64_t requests_deadline_exceeded = 0;
   std::uint64_t requests_degraded = 0;  ///< served ok, but degraded
   std::uint64_t stats_requests = 0;
-  std::uint64_t batch_requests = 0;  ///< batch frames (items count above)
   std::size_t queue_depth = 0;    ///< admitted, not yet started (all shards)
   std::size_t active_solves = 0;  ///< running on the pools right now
   /// Per-shard gauges, index = shard id.
@@ -185,16 +179,11 @@ class Server {
   [[nodiscard]] ServerStats stats_snapshot() const;
 
  private:
-  struct BatchContext;
-
-  /// Where a finished solve's bytes go: a connection's single-response
-  /// frame, or one slot of a batch aggregate.
+  /// Where a finished solve's bytes go; completing it fulfils the
+  /// connection's pending-response promise.
   struct ResponseTarget {
     ConnPtr conn;
-    std::shared_ptr<BatchContext> batch;  ///< null = standalone response
-    std::size_t slot = 0;
-    bool counts_pending = false;  ///< completion consumes one promise
-    std::size_t shard = 0;        ///< latency-reservoir stripe hint
+    std::size_t shard = 0;  ///< latency-reservoir stripe hint
     std::chrono::steady_clock::time_point admitted_at{};
   };
 
@@ -208,10 +197,8 @@ class Server {
                 std::string payload);
   void on_protocol_error(const ConnPtr& conn, ReadStatus status,
                          std::uint32_t declared_length);
-  void handle_solve_frame(const ConnPtr& conn, std::string payload);
-  void handle_batch_frame(const ConnPtr& conn, std::string payload);
   /// Parses, consults the cache, and routes to a shard (loop thread).
-  void dispatch_payload(ResponseTarget target, const std::string& payload);
+  void handle_solve_frame(const ConnPtr& conn, const std::string& payload);
   void dispatch_request(ResponseTarget target, SolveRequest request,
                         bool allow_cache);
   /// Runs one solve and fans the outcome out (worker thread). `cache_key`
@@ -225,8 +212,6 @@ class Server {
   void complete_ok(const ResponseTarget& target, const std::string& payload);
   void complete_error(const ResponseTarget& target, ErrorCode code,
                       const std::string& message);
-  void finish_batch_slot(const ResponseTarget& target, bool ok,
-                         std::string payload);
   void count_rejection(ErrorCode code);
   /// Pops parked waiters and either completes them with the published
   /// payload or re-dispatches them cache-less after an abandon.
@@ -265,7 +250,6 @@ class Server {
   std::atomic<std::uint64_t> requests_deadline_exceeded_{0};
   std::atomic<std::uint64_t> requests_degraded_{0};
   std::atomic<std::uint64_t> stats_requests_{0};
-  std::atomic<std::uint64_t> batch_requests_{0};
 };
 
 }  // namespace sap::service

@@ -6,7 +6,6 @@
 
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/service/frame.hpp"
 #include "src/service/protocol.hpp"
@@ -346,89 +345,20 @@ TEST(ProtocolTest, MalformedEnvelopesRejected) {
                std::invalid_argument);
   EXPECT_THROW(parse_error_response("sapd-error v1\ncode NOPE\nmessage x"),
                std::invalid_argument);
-}
-
-TEST(BatchProtocolTest, RequestRoundTripCarriesOpaqueBlobs) {
-  // Inner payloads are carried opaquely — including ones with no trailing
-  // newline, embedded NULs, and envelope-lookalike content.
-  const std::vector<std::string> items = {
-      "sapd-solve v1\nkind path\n...",
-      std::string("raw\0bytes", 9),
-      "request 999\n",  // must not confuse the outer parser
-      "",
-  };
-  const std::string payload = encode_batch_solve_request(items);
-  EXPECT_EQ(parse_batch_solve_request(payload, items.size()), items);
-}
-
-TEST(BatchProtocolTest, ResponseRoundTripPreservesPerSlotOutcome) {
-  const std::vector<BatchItemResult> items = {
-      {true, "sapd-result v1\n..."},
-      {false, "sapd-error v1\ncode BAD_REQUEST\nmessage nope"},
-      {true, std::string("\x01\x02", 2)},
-  };
-  const std::string payload = encode_batch_solve_response(items);
-  const std::vector<BatchItemResult> parsed =
-      parse_batch_solve_response(payload, items.size());
-  ASSERT_EQ(parsed.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(parsed[i].ok, items[i].ok) << i;
-    EXPECT_EQ(parsed[i].payload, items[i].payload) << i;
+  // A minus sign on an unsigned field must not wrap around to 2^64 - k.
+  EXPECT_THROW(parse_solve_request("sapd-solve v1\nkind path\nalgo full\n"
+                                   "eps 0.5\nseed -1\ninstance\n"),
+               std::invalid_argument);
+  for (const char* payload :
+       {"sapd-result v1\nweight 5\nplaced -2\ntasks 3\nwall_micros 0\n"
+        "telemetry {}\nsolution\n",
+        "sapd-result v1\nweight 5\nplaced 2\ntasks -1\nwall_micros 0\n"
+        "telemetry {}\nsolution\n",
+        "sapd-result v1\nweight 5\nplaced 2\ntasks 3\nwall_micros 0\n"
+        "telemetry {}\nrounds -1\nsolution\n"}) {
+    EXPECT_THROW(parse_solve_response(payload), std::invalid_argument)
+        << payload;
   }
-}
-
-TEST(BatchProtocolTest, OversizedBatchCountRejectedBeforeInnerParse) {
-  // An attacker-declared count over the receiver limit must be rejected
-  // from the count line alone — even when the declared items are absent, so
-  // a parser that believed the count would read far past the buffer.
-  const std::string hostile = "sapd-batch v1\ncount 1000000\n";
-  try {
-    (void)parse_batch_solve_request(hostile, kDefaultMaxBatchItems);
-    FAIL() << "expected rejection";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("exceeds receiver limit"),
-              std::string::npos)
-        << error.what();
-  }
-  // Same guard on the response path (a hostile server).
-  EXPECT_THROW(
-      (void)parse_batch_solve_response("sapd-batch-result v1\ncount 50\n", 4),
-      std::invalid_argument);
-}
-
-TEST(BatchProtocolTest, HostileBatchEnvelopesRejected) {
-  // Truncated inner frame: declared 100 bytes, only a few present.
-  EXPECT_THROW((void)parse_batch_solve_request(
-                   "sapd-batch v1\ncount 1\nrequest 100\nshort", 4),
-               std::invalid_argument);
-  // Inner blob not '\n'-terminated (its last byte eaten by the declared
-  // length of a lying neighbour would desynchronize every later item).
-  EXPECT_THROW((void)parse_batch_solve_request(
-                   "sapd-batch v1\ncount 2\nrequest 1\nXrequest 1\nY", 4),
-               std::invalid_argument);
-  // Negative / non-numeric / zero counts.
-  EXPECT_THROW(
-      (void)parse_batch_solve_request("sapd-batch v1\ncount -1\n", 4),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)parse_batch_solve_request("sapd-batch v1\ncount soon\n", 4),
-      std::invalid_argument);
-  EXPECT_THROW((void)parse_batch_solve_request("sapd-batch v1\ncount 0\n", 4),
-               std::invalid_argument);
-  // Wrong magic line; trailing garbage after the last item.
-  EXPECT_THROW((void)parse_batch_solve_request("sapd-batch v2\ncount 1\n", 4),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_batch_solve_request(
-                   "sapd-batch v1\ncount 1\nrequest 1\nX\ngarbage", 4),
-               std::invalid_argument);
-  // Negative declared item size.
-  EXPECT_THROW((void)parse_batch_solve_request(
-                   "sapd-batch v1\ncount 1\nrequest -5\n", 4),
-               std::invalid_argument);
-  // Response-side: unknown slot tag.
-  EXPECT_THROW((void)parse_batch_solve_response(
-                   "sapd-batch-result v1\ncount 1\nmaybe 1\nX\n", 4),
-               std::invalid_argument);
 }
 
 TEST(ProtocolTest, RoundKindsRoundTripAndUnknownKindsRejected) {

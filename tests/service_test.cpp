@@ -541,15 +541,23 @@ TEST(ServiceTest, UnknownFrameTypeKeepsConnectionUsable) {
   server.start();
 
   const int fd = connect_raw(server.port());
-  ASSERT_TRUE(write_frame(fd, static_cast<FrameType>(999), "???"));
-  Frame frame;
-  ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
-  EXPECT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kErrorResponse));
-  // Frame boundary intact: a stats request on the same connection works.
-  ASSERT_TRUE(write_frame(fd, FrameType::kStatsRequest, ""));
-  ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
-  EXPECT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kStatsResponse));
-  EXPECT_NE(frame.payload.find("\"queue_depth\""), std::string::npos);
+  // 3 and 20 are the retired batch request/response types: unknown now.
+  for (const std::uint32_t type : {999u, 3u, 20u}) {
+    ASSERT_TRUE(write_frame(fd, static_cast<FrameType>(type), "???"));
+    Frame frame;
+    ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+    EXPECT_EQ(frame.type,
+              static_cast<std::uint32_t>(FrameType::kErrorResponse));
+    const ErrorResponse error = parse_error_response(frame.payload);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+    EXPECT_EQ(error.message, "unknown frame type " + std::to_string(type));
+    // Frame boundary intact: a stats request on the same connection works.
+    ASSERT_TRUE(write_frame(fd, FrameType::kStatsRequest, ""));
+    ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+    EXPECT_EQ(frame.type,
+              static_cast<std::uint32_t>(FrameType::kStatsResponse));
+    EXPECT_NE(frame.payload.find("\"queue_depth\""), std::string::npos);
+  }
   ::close(fd);
   server.stop();
 }
@@ -926,69 +934,10 @@ TEST(ServiceTest, SolveWithRetryGivesUpAfterMaxAttemptsOnDeadServer) {
   }
 }
 
-TEST(ServiceBatchTest, BatchFrameSolvesItemsIndividuallyAndPreservesOrder) {
-  Server server(ServerOptions{});
-  server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
-
-  SolveRequest path_request;
-  path_request.instance_text =
-      "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
-  SolveRequest bad_request;
-  bad_request.instance_text = "sap-path v1\nedges NOT_A_NUMBER\n";
-  SolveRequest ring_request;
-  ring_request.kind = SolveRequest::Kind::kRing;
-  {
-    RingGenOptions gen;
-    gen.num_edges = 6;
-    gen.num_tasks = 8;
-    Rng rng(5);
-    ring_request.instance_text = ring_to_string(generate_ring_instance(gen, rng));
-  }
-
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({path_request, bad_request, ring_request});
-  ASSERT_EQ(outcomes.size(), 3u);
-
-  // Slot 0 and 2 match the equivalent sequential round trips; the bad item
-  // rejects only its own slot.
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error_message;
-  ASSERT_FALSE(outcomes[1].ok);
-  EXPECT_EQ(outcomes[1].error_code, ErrorCode::kBadRequest);
-  ASSERT_TRUE(outcomes[2].ok) << outcomes[2].error_message;
-
-  const Client::SolveOutcome path_alone = client.solve(path_request);
-  const Client::SolveOutcome ring_alone = client.solve(ring_request);
-  ASSERT_TRUE(path_alone.ok);
-  ASSERT_TRUE(ring_alone.ok);
-  EXPECT_EQ(outcomes[0].response.solution_text,
-            path_alone.response.solution_text);
-  EXPECT_EQ(outcomes[0].response.weight, path_alone.response.weight);
-  EXPECT_EQ(outcomes[2].response.solution_text,
-            ring_alone.response.solution_text);
-  EXPECT_EQ(outcomes[2].response.weight, ring_alone.response.weight);
-
-  const ServerStats stats = server.stats_snapshot();
-  EXPECT_EQ(stats.batch_requests, 1u);
-  EXPECT_EQ(stats.requests_ok, 4u);  // 2 batch slots + 2 sequential
-  EXPECT_EQ(stats.requests_bad, 1u);
-  server.stop();
-}
-
-TEST(ServiceBatchTest, EmptyBatchShortCircuitsWithoutATransport) {
-  // solve_batch({}) returns before touching the socket, so it works on a
-  // client that was never connected to anything.
-  Client client;
-  EXPECT_FALSE(client.connected());
-  EXPECT_TRUE(client.solve_batch({}).empty());
-}
-
-TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
+TEST(ServiceCacheTest, CanonicallyEqualSolvesShareOneCacheEntry) {
   // Three textually different spellings of the same instance — comments,
-  // extra spaces, CRLF endings — canonicalize to one digest, so a batch
-  // containing all three costs one solve and replays the stored payload
-  // byte-for-byte into every slot.
+  // extra spaces, CRLF endings — canonicalize to one digest, so three solve
+  // frames cost one solve and replay the stored payload byte-for-byte.
   ServerOptions options;
   options.cache_entries = 8;
   Server server(options);
@@ -1007,16 +956,14 @@ TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
   respaced.instance_text =
       "sap-path v1\r\nedges  1\r\ncapacities 4\r\n\r\ntasks 1\r\n0 0 2 5\r\n";
 
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({plain, commented, respaced});
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const Client::SolveOutcome& outcome : outcomes) {
+  const Client::SolveOutcome first = client.solve(plain);
+  ASSERT_TRUE(first.ok) << first.error_message;
+  for (const SolveRequest& variant : {commented, respaced}) {
+    const Client::SolveOutcome outcome = client.solve(variant);
     ASSERT_TRUE(outcome.ok) << outcome.error_message;
-    EXPECT_EQ(outcome.response.solution_text,
-              outcomes[0].response.solution_text);
-    EXPECT_EQ(outcome.response.weight, outcomes[0].response.weight);
-    EXPECT_EQ(outcome.response.wall_micros,
-              outcomes[0].response.wall_micros);
+    EXPECT_EQ(outcome.response.solution_text, first.response.solution_text);
+    EXPECT_EQ(outcome.response.weight, first.response.weight);
+    EXPECT_EQ(outcome.response.wall_micros, first.response.wall_micros);
   }
 
   const ServerStats stats = server.stats_snapshot();
@@ -1024,33 +971,6 @@ TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits + stats.cache_coalesced, 2u);
   EXPECT_EQ(stats.cache_entries, 1u);
-  server.stop();
-}
-
-TEST(ServiceBatchTest, BatchOverItemLimitRejectedBeforeAnyInnerParse) {
-  ServerOptions options;
-  options.max_batch_items = 2;
-  Server server(options);
-  server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
-
-  SolveRequest request;
-  request.instance_text =
-      "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({request, request, request});
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const Client::SolveOutcome& outcome : outcomes) {
-    ASSERT_FALSE(outcome.ok);
-    EXPECT_EQ(outcome.error_code, ErrorCode::kBadRequest);
-    EXPECT_NE(outcome.error_message.find("exceeds receiver limit"),
-              std::string::npos)
-        << outcome.error_message;
-  }
-  // The connection survives the rejection (frame boundary intact).
-  const Client::SolveOutcome after = client.solve(request);
-  EXPECT_TRUE(after.ok) << after.error_message;
   server.stop();
 }
 
