@@ -268,7 +268,6 @@ struct StarterEnumerator {
   SweepContext& ctx;
   const std::vector<TaskId>& starters;
   Value cap;
-  std::size_t max_heights;
   Value min_height;
   bool grounded_only;
   Weight added_weight = 0;
@@ -314,21 +313,17 @@ struct StarterEnumerator {
       std::ranges::sort(candidates);
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
-      std::size_t tried = 0;
       for (Value h : candidates) {
         // sapkit-analyze: allow(exact-arith) -- candidate tops are <= cap and
         // d <= cap <= 2^62, so the sum is exact in int64.
         if (h + t.demand > cap) break;
         if (!free_span(h, t.demand)) continue;
-        if (max_heights != 0 && tried >= max_heights) return;
-        ++tried;
         place(i, j, t, h);
       }
       return;
     }
     // Try every integral height whose span is free. Walk the free gaps of
     // the (sorted) profile so each feasible height is visited once.
-    std::size_t tried = 0;
     Value h = min_height;
     std::size_t k = 0;
     // sapkit-analyze: allow(exact-arith) -- h <= cap (starts at min_height and
@@ -355,8 +350,6 @@ struct StarterEnumerator {
       // sapkit-analyze: allow(exact-arith) -- hh <= gap_end <= cap and d <=
       // cap <= 2^62 (instance construction): exact in int64.
       for (Value hh = h; hh + t.demand <= gap_end; ++hh) {
-        if (max_heights != 0 && tried >= max_heights) return;
-        ++tried;
         place(i, j, t, hh);
       }
       if (k >= ctx.slots.size()) return;  // explored the unbounded top gap
@@ -417,7 +410,7 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   ctx.frontier.push_back(0);
   SapExactResult out;
   out.peak_states = 1;
-  if (options.grounded_only || options.max_heights_per_task != 0) {
+  if (options.grounded_only) {
     out.proven_optimal = false;  // restricted height candidates: heuristic
   }
 
@@ -463,7 +456,6 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       StarterEnumerator enumerator{ctx,
                                    starters_at[static_cast<std::size_t>(e)],
                                    cap,
-                                   options.max_heights_per_task,
                                    options.min_height,
                                    options.grounded_only,
                                    0};

@@ -27,9 +27,6 @@ struct SapExactOptions {
   /// Beam cap on live states per edge; exceeding it truncates to the best
   /// states and clears `proven_optimal`.
   std::size_t max_states = 500'000;
-  /// Cap on candidate heights tried per starting task per state (0 = all
-  /// integer heights). Leave 0 for exactness.
-  std::size_t max_heights_per_task = 0;
   /// Every placement must satisfy height >= min_height: used by the medium-
   /// task Elevator to compute optimal beta-elevated solutions directly (the
   /// paper's remark after Lemma 15).

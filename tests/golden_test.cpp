@@ -57,7 +57,7 @@ struct GoldenCase {
 };
 
 PathInstance e6_instance(CapacityProfile profile, std::size_t n) {
-  // Matches the bench_service / bench_full_solver E6 grid (seed index 0).
+  // Matches the bench_full_solver E6 grid (seed index 0).
   Rng rng(batch_case_seed(5000 + n, 0));
   PathGenOptions gen;
   gen.num_edges = 12;
