@@ -34,7 +34,7 @@ struct Slot {
 
   friend bool operator==(const Slot&, const Slot&) = default;
   // sapkit-analyze: allow(exact-arith) -- slots are only created with
-  // h + d <= cap <= 2^62 (see place()/free_span), so the top is exact.
+  // h + d <= ceiling <= 2^62 (see StarterEnumerator), so the top is exact.
   [[nodiscard]] Value top() const noexcept { return height + demand; }
 };
 static_assert(sizeof(Slot) == 24);  // no hidden padding left for memcmp
@@ -264,18 +264,21 @@ struct SweepContext {
 /// Enumerates placements of `starters[i..]` on top of the context's slot
 /// profile, invoking SweepContext::emit at every leaf (including "place
 /// none"). Static dispatch — no std::function on the hot path.
+///
+/// Ceiling invariant (profile_dp.hpp): a starter j is placed only with
+/// h + d_j <= b(j). The span of b(j) includes the start edge, so no
+/// separate capacity test is needed, and the sweep never kills a state.
 struct StarterEnumerator {
   SweepContext& ctx;
   const std::vector<TaskId>& starters;
-  Value cap;
   Value min_height;
   bool grounded_only;
   Weight added_weight = 0;
 
   [[nodiscard]] bool free_span(Value h, Value demand) const {
     for (const Slot& s : ctx.slots) {
-      // sapkit-analyze: allow(exact-arith) -- h <= cap and d <= cap <= 2^62
-      // (instance construction), so h + d <= 2^63 stays exact in int64.
+      // sapkit-analyze: allow(exact-arith) -- h <= ceiling and d <= ceiling <=
+      // 2^62 (instance construction), so h + d <= 2^63 stays exact in int64.
       if (s.height >= h + demand) break;  // sorted: all later are above
       if (s.top() > h) return false;
     }
@@ -291,9 +294,10 @@ struct StarterEnumerator {
     run(i + 1);  // skip starters[i]
     const TaskId j = starters[i];
     const Task& t = ctx.inst.task(j);
-    // sapkit-analyze: allow(exact-arith) -- min_height <= cap and d <= cap <=
-    // 2^62 (instance construction), so the sum is exact in int64.
-    if (min_height + t.demand > cap) return;
+    const Value ceiling = ctx.inst.bottleneck(j);
+    // d <= ceiling (instance construction), so the difference cannot
+    // overflow, whatever floor the caller passed.
+    if (min_height > ceiling - t.demand) return;
     if (grounded_only) {
       // Candidates: the floor and the top of every alive slot.
       if (i >= ctx.candidates_by_depth.size()) {
@@ -314,9 +318,9 @@ struct StarterEnumerator {
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
       for (Value h : candidates) {
-        // sapkit-analyze: allow(exact-arith) -- candidate tops are <= cap and
-        // d <= cap <= 2^62, so the sum is exact in int64.
-        if (h + t.demand > cap) break;
+        // sapkit-analyze: allow(exact-arith) -- candidate tops are <= their
+        // own ceilings <= 2^62 and d <= ceiling, so the sum is exact in int64.
+        if (h + t.demand > ceiling) break;
         if (!free_span(h, t.demand)) continue;
         place(i, j, t, h);
       }
@@ -326,16 +330,17 @@ struct StarterEnumerator {
     // the (sorted) profile so each feasible height is visited once.
     Value h = min_height;
     std::size_t k = 0;
-    // sapkit-analyze: allow(exact-arith) -- h <= cap (starts at min_height and
-    // jumps to slot tops <= cap) and d <= cap <= 2^62: exact in int64.
-    while (h + t.demand <= cap) {
+    // sapkit-analyze: allow(exact-arith) -- h starts at min_height and jumps
+    // to slot tops (each <= its own ceiling), all <= 2^62, and d <= ceiling
+    // <= 2^62: exact in int64.
+    while (h + t.demand <= ceiling) {
       // Skip forward over any slot blocking [h, h+demand).
       bool blocked = false;
       for (; k < ctx.slots.size(); ++k) {
         const Slot& s = ctx.slots[k];
         if (s.top() <= h) continue;           // entirely below
-        // sapkit-analyze: allow(exact-arith) -- same h <= cap, d <= cap <= 2^62
-        // bound as the loop condition above: exact in int64.
+        // sapkit-analyze: allow(exact-arith) -- same h, d <= 2^62 bound as
+        // the loop condition above: exact in int64.
         if (s.height >= h + t.demand) break;  // entirely above; gap is free
         h = s.top();                          // jump past the blocker
         blocked = true;
@@ -343,12 +348,12 @@ struct StarterEnumerator {
       }
       if (blocked) continue;
       // [h, h+demand) is free; recurse with every height in this gap.
-      Value gap_end = cap;
+      Value gap_end = ceiling;
       if (k < ctx.slots.size()) {
         gap_end = std::min(gap_end, ctx.slots[k].height);
       }
-      // sapkit-analyze: allow(exact-arith) -- hh <= gap_end <= cap and d <=
-      // cap <= 2^62 (instance construction): exact in int64.
+      // sapkit-analyze: allow(exact-arith) -- hh <= gap_end <= ceiling and
+      // d <= ceiling <= 2^62 (instance construction): exact in int64.
       for (Value hh = h; hh + t.demand <= gap_end; ++hh) {
         place(i, j, t, hh);
       }
@@ -415,7 +420,6 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   }
 
   for (EdgeId e = 0; e < m; ++e) {
-    const Value cap = inst.capacity(e);
     ctx.dedupe.clear(ctx.frontier.size());
     ctx.next.clear();
     ctx.overflow = false;
@@ -427,20 +431,15 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       const std::int32_t sid = ctx.frontier[fi];
       // Copy the record: the states pool may grow (and move) during emits.
       const StateRec rec = ctx.states[static_cast<std::size_t>(sid)];
-      // Drop tasks ending before e; kill the state if a survivor no longer
-      // fits under this edge's capacity.
+      // Drop tasks ending before e. Every survivor fits this edge by the
+      // ceiling invariant (see StarterEnumerator).
       ctx.slots.clear();
       ctx.key_sum = 0;
       ctx.fp_sum = 0;
-      bool alive = true;
       const Slot* pool = ctx.slot_pool.data() + rec.slots_off;
       for (std::uint32_t si = 0; si < rec.slots_len; ++si) {
         const Slot& s = pool[si];
         if (s.last < e) continue;
-        if (s.top() > cap) {
-          alive = false;
-          break;
-        }
         // sapkit-analyze: allow(arena-discipline) -- reused profile scratch;
         // capacity persists across states, so growth amortizes to zero.
         ctx.slots.push_back(s);
@@ -448,14 +447,12 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
         ctx.key_sum += digest.key;
         ctx.fp_sum += digest.fp;
       }
-      if (!alive) continue;
 
       ctx.added.clear();
       ctx.base_weight = rec.weight;
       ctx.parent = sid;
       StarterEnumerator enumerator{ctx,
                                    starters_at[static_cast<std::size_t>(e)],
-                                   cap,
                                    options.min_height,
                                    options.grounded_only,
                                    0};

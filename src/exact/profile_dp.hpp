@@ -8,6 +8,11 @@
 // (task identity beyond (height, demand, last) is irrelevant to future
 // feasibility), keeping the maximum accumulated weight.
 //
+// Ceiling invariant: a task j is placed only at heights h with
+// h + d_j <= b(j), its bottleneck over the whole span. Every slot therefore
+// fits every edge it crosses, so every state the sweep generates can reach
+// the end of the path, and the max_states beam ranks only such states.
+//
 // This is the exact oracle behind the medium-task Elevator (Lemma 13) and
 // behind every measured-approximation-ratio bench.
 #pragma once
@@ -24,8 +29,9 @@ namespace sap {
 class Arena;
 
 struct SapExactOptions {
-  /// Beam cap on live states per edge; exceeding it truncates to the best
-  /// states and clears `proven_optimal`.
+  /// Beam cap on live states per edge; exceeding it truncates to the
+  /// heaviest states (all of them survivable, by the ceiling invariant) and
+  /// clears `proven_optimal`.
   std::size_t max_states = 500'000;
   /// Every placement must satisfy height >= min_height: used by the medium-
   /// task Elevator to compute optimal beta-elevated solutions directly (the

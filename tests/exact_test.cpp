@@ -2,14 +2,20 @@
 // the obviously-correct brute force on every random tiny instance.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 
+#include "src/core/sap_solver.hpp"
 #include "src/exact/brute_force.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/exact/ufpp_profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/model/verify.hpp"
 #include "src/ufpp/branch_and_bound.hpp"
+#include "src/util/telemetry.hpp"
+#include "tests/e6_instances.hpp"
 
 namespace sap {
 namespace {
@@ -71,6 +77,10 @@ TEST(ProfileDpTest, SupportsHeightFloor) {
   for (const Placement& p : r.solution.placements) {
     EXPECT_GE(p.height, 2);
   }
+  // A floor above every capacity leaves nothing to place (and must not
+  // overflow the height arithmetic).
+  opt.min_height = std::numeric_limits<Value>::max();
+  EXPECT_EQ(sap_exact_profile_dp(inst, opt).weight, 0);
 }
 
 TEST(ProfileDpTest, MatchesBruteForceOnRandomTinyInstances) {
@@ -131,6 +141,71 @@ TEST(ProfileDpTest, BeamCapTruncatesButStaysFeasible) {
   EXPECT_TRUE(verify_sap(inst, r.solution));
   const SapExactResult full = sap_exact_profile_dp(inst);
   EXPECT_LE(r.weight, full.weight);
+}
+
+TEST(ProfileDpTest, BeamRanksOnlySurvivableStates) {
+  // The beam must rank only states that can reach the end of the path. If
+  // placements may rise above the task's bottleneck, the heaviest states on
+  // these instances are ones a later, lower edge kills, and the beam
+  // returns weight 0.
+  struct BeamCase {
+    CapacityProfile profile;
+    std::size_t n;
+    std::size_t index;
+    Weight weight;
+  };
+  const BeamCase cases[] = {
+      {CapacityProfile::kValley, 12, 0, 432},
+      {CapacityProfile::kMountain, 12, 0, 435},
+      {CapacityProfile::kMountain, 12, 1, 530},
+      {CapacityProfile::kValley, 24, 1, 824},
+  };
+  SapExactOptions beam;
+  beam.max_states = 2000;
+  for (const BeamCase& c : cases) {
+    const PathInstance inst = e6_instance(c.profile, c.n, c.index);
+    const SapExactResult r = sap_exact_profile_dp(inst, beam);
+    EXPECT_GT(r.weight, 0) << "n " << c.n << " index " << c.index;
+    EXPECT_TRUE(verify_sap(inst, r.solution));
+    EXPECT_EQ(r.solution.weight(inst), r.weight);
+    EXPECT_EQ(r.weight, c.weight) << "n " << c.n << " index " << c.index;
+  }
+
+  // At the ladder's beam the same valley instance is now proven optimal.
+  const PathInstance valley = e6_instance(CapacityProfile::kValley, 12, 0);
+  beam.max_states = 100'000;
+  const SapExactResult r = sap_exact_profile_dp(valley, beam);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.weight, 435);
+  EXPECT_TRUE(verify_sap(valley, r.solution));
+}
+
+TEST(ProfileDpTest, SolveWorkStaysUnderPinnedStateCountOnE6) {
+  // Deterministic work gate: states the profile DP expands while solve_sap
+  // runs the E6 n=12 and n=24 cells (5 profiles x 2 instances each). The
+  // pins are the counts with bottleneck-capped placements; letting
+  // placements rise to the start edge's capacity again expands 283,766 and
+  // 73,152 states.
+  const std::pair<std::size_t, std::int64_t> cells[] = {{12, 93'746},
+                                                        {24, 40'992}};
+  for (const auto& [n, pinned] : cells) {
+    std::int64_t expanded = 0;
+    for (int profile = 0; profile < 5; ++profile) {
+      for (std::size_t index = 0; index < 2; ++index) {
+        const PathInstance inst =
+            e6_instance(static_cast<CapacityProfile>(profile), n, index);
+        TelemetryReport report;
+        {
+          TelemetrySession session(&report);
+          const SapSolution sol = solve_sap(inst);
+          ASSERT_TRUE(verify_sap(inst, sol));
+        }
+        expanded += report.count("dp.states.expanded");
+      }
+    }
+    EXPECT_GT(expanded, 0) << "n " << n;
+    EXPECT_LE(expanded, pinned) << "n " << n;
+  }
 }
 
 TEST(UfppProfileDpTest, CrossValidatesBranchAndBound) {

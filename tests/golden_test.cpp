@@ -27,6 +27,7 @@
 #include "src/gen/paper_instances.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
+#include "tests/e6_instances.hpp"
 
 #ifndef SAPKIT_GOLDEN_DIR
 #error "SAPKIT_GOLDEN_DIR must point at the checked-in fixture directory"
@@ -55,19 +56,6 @@ struct GoldenCase {
   SolverParams params;
   bool certify = false;
 };
-
-PathInstance e6_instance(CapacityProfile profile, std::size_t n) {
-  // Matches the bench_full_solver E6 grid (seed index 0).
-  Rng rng(batch_case_seed(5000 + n, 0));
-  PathGenOptions gen;
-  gen.num_edges = 12;
-  gen.num_tasks = n;
-  gen.profile = profile;
-  gen.min_capacity = 8;
-  gen.max_capacity = 48;
-  gen.demand = DemandClass::kMixed;
-  return generate_path_instance(gen, rng);
-}
 
 std::vector<GoldenCase> build_path_corpus() {
   std::vector<GoldenCase> corpus;

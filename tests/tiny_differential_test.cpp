@@ -3,7 +3,9 @@
 // capacities <= 6 is pushed through the full approximation pipelines and
 // checked against exact oracles —
 //   paths: solve_sap output feasible under model/verify and weight <= the
-//          exact/profile_dp optimum (proven optimal at these sizes);
+//          exact/profile_dp optimum (proven optimal at these sizes), which
+//          must equal exact/brute_force and the DP optimum of the mirrored
+//          instance;
 //   rings: solve_ring_sap output feasible and weight <= an independent
 //          test-local brute force over subsets x orientations x heights.
 // This hardens the randomized coverage of property_test.cpp and
@@ -16,9 +18,11 @@
 
 #include "src/core/ring_solver.hpp"
 #include "src/core/sap_solver.hpp"
+#include "src/exact/brute_force.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/lp/ufpp_lp.hpp"
 #include "src/model/verify.hpp"
+#include "tests/e6_instances.hpp"
 
 namespace sap {
 namespace {
@@ -60,6 +64,22 @@ std::vector<Task> path_task_pool(const std::vector<Value>& caps) {
   return pool;
 }
 
+/// The instance read right to left: capacities reversed, every task mapped to
+/// (m-1-last, m-1-first). It has the same SAP optimum, but the DP sweeps it
+/// in the opposite direction, so a placement ceiling that misses the edges
+/// at one end of a task's span shows up as a weight mismatch.
+PathInstance mirrored(const PathInstance& inst) {
+  std::vector<Value> caps(inst.capacities().rbegin(),
+                          inst.capacities().rend());
+  const auto last_edge = static_cast<EdgeId>(caps.size() - 1);
+  std::vector<Task> tasks;
+  for (const Task& t : inst.tasks()) {
+    tasks.push_back(
+        {last_edge - t.last, last_edge - t.first, t.demand, t.weight});
+  }
+  return PathInstance(std::move(caps), std::move(tasks));
+}
+
 /// Every window of w <= kMaxTasks consecutive pool tasks, for every w.
 /// Linear in the pool (not exponential), yet covers every task in many
 /// different neighbourhoods, including the singleton and the densest mixes.
@@ -97,6 +117,10 @@ TEST(TinyDifferentialTest, PathSolverNeverBeatsOrBreaksTheOracle) {
 
       const SapExactResult oracle = sap_exact_profile_dp(inst);
       ASSERT_TRUE(oracle.proven_optimal) << "instance " << instances;
+      EXPECT_EQ(oracle.weight, sap_brute_force(inst).weight(inst))
+          << "instance " << instances;
+      EXPECT_EQ(sap_exact_profile_dp(mirrored(inst)).weight, oracle.weight)
+          << "instance " << instances;
       EXPECT_LE(sol.weight(inst), oracle.weight) << "instance " << instances;
       // At <= 6 tasks the pipeline must find something whenever anything
       // fits at all (each class solver alone packs at least one task).
@@ -108,6 +132,24 @@ TEST(TinyDifferentialTest, PathSolverNeverBeatsOrBreaksTheOracle) {
   // Exhaustiveness guard: the family must not silently collapse (the
   // enumeration above yields ~1500 instances; allow slack for tweaks).
   EXPECT_GT(instances, 1000u);
+}
+
+TEST(TinyDifferentialTest, MirroredE6InstancesHaveTheSameDpOptimum) {
+  // The mirror check of the sweep above on the 10 E6 n=12 pool instances,
+  // whose capacities vary enough that a placement above its task's
+  // bottleneck would fit some edges before it stops fitting.
+  for (int profile = 0; profile < 5; ++profile) {
+    for (std::size_t index = 0; index < 2; ++index) {
+      const PathInstance inst =
+          e6_instance(static_cast<CapacityProfile>(profile), 12, index);
+      const SapExactResult forward = sap_exact_profile_dp(inst);
+      const SapExactResult backward = sap_exact_profile_dp(mirrored(inst));
+      ASSERT_TRUE(forward.proven_optimal);
+      ASSERT_TRUE(backward.proven_optimal);
+      EXPECT_EQ(backward.weight, forward.weight)
+          << "profile " << profile << " index " << index;
+    }
+  }
 }
 
 TEST(TinyDifferentialTest, SteepestEdgePricingMatchesDantzigOnRelaxations) {
