@@ -1,6 +1,5 @@
 #include "src/cert/certify.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "src/model/verify.hpp"
@@ -10,32 +9,34 @@
 namespace sap::cert {
 namespace {
 
-/// Checked recomputation of w(S); certification refuses to claim a weight
-/// that does not fit in int64.
-bool checked_solution_weight(const PathInstance& inst, const SapSolution& sol,
-                             Weight* out) {
-  Weight total = 0;
-  for (const Placement& p : sol.placements) {
-    if (!checked_add(total, inst.task(p.task).weight, &total)) return false;
-  }
-  *out = total;
-  return true;
+VerifyResult verify(const PathInstance& inst, const SapSolution& sol) {
+  return verify_sap(inst, sol);
 }
 
-bool checked_solution_weight(const RingInstance& inst,
-                             const RingSapSolution& sol, Weight* out) {
-  Weight total = 0;
-  for (const RingPlacement& p : sol.placements) {
-    if (!checked_add(total, inst.task(p.task).weight, &total)) return false;
-  }
-  *out = total;
-  return true;
+VerifyResult verify(const RingInstance& inst, const RingSapSolution& sol) {
+  return verify_ring_sap(inst, sol);
 }
 
-template <typename Outcome>
-Outcome finish(Outcome outcome, Certificate::Kind kind, Weight weight,
-               LadderResult ladder) {
-  outcome.ladder = std::move(ladder);
+template <typename Instance, typename Solution>
+CertifyOutcome certify(const Instance& inst, const Solution& sol,
+                       Certificate::Kind kind, const LadderOptions& options) {
+  CertifyOutcome outcome;
+  const VerifyResult feasible = verify(inst, sol);
+  if (!feasible) {
+    outcome.detail = "infeasible solution: " + feasible.reason;
+    return outcome;
+  }
+  outcome.feasible = true;
+  // Checked recomputation of w(S): certification refuses to claim a weight
+  // that does not fit in int64.
+  Weight weight = 0;
+  for (const auto& p : sol.placements) {
+    if (!checked_add(weight, inst.task(p.task).weight, &weight)) {
+      outcome.detail = "solution weight overflows int64";
+      return outcome;
+    }
+  }
+  outcome.ladder = run_upper_bound_ladder(inst, options);
   if (!outcome.ladder.proven) {
     outcome.detail = "upper-bound ladder could not prove any bound";
     return outcome;
@@ -53,80 +54,14 @@ Outcome finish(Outcome outcome, Certificate::Kind kind, Weight weight,
 
 CertifyOutcome certify_solution(const PathInstance& inst,
                                 const SapSolution& sol,
-                                const CertifyOptions& options) {
-  CertifyOutcome outcome;
-  const VerifyResult feasible = verify_sap(inst, sol);
-  if (!feasible) {
-    outcome.detail = "infeasible solution: " + feasible.reason;
-    return outcome;
-  }
-  outcome.feasible = true;
-  Weight weight = 0;
-  if (!checked_solution_weight(inst, sol, &weight)) {
-    outcome.detail = "solution weight overflows int64";
-    return outcome;
-  }
-  return finish(std::move(outcome), Certificate::Kind::kPath, weight,
-                run_upper_bound_ladder(inst, options.ladder));
+                                const LadderOptions& options) {
+  return certify(inst, sol, Certificate::Kind::kPath, options);
 }
 
 CertifyOutcome certify_solution(const RingInstance& inst,
                                 const RingSapSolution& sol,
-                                const CertifyOptions& options) {
-  CertifyOutcome outcome;
-  const VerifyResult feasible = verify_ring_sap(inst, sol);
-  if (!feasible) {
-    outcome.detail = "infeasible solution: " + feasible.reason;
-    return outcome;
-  }
-  outcome.feasible = true;
-  Weight weight = 0;
-  if (!checked_solution_weight(inst, sol, &weight)) {
-    outcome.detail = "solution weight overflows int64";
-    return outcome;
-  }
-  return finish(std::move(outcome), Certificate::Kind::kRing, weight,
-                run_ring_upper_bound_ladder(inst, options.ladder));
-}
-
-CertifiedSapSolve solve_sap_certified(const PathInstance& inst,
-                                      const SolverParams& params,
-                                      const CertifyOptions& options) {
-  CertifiedSapSolve result;
-  result.solution = solve_sap(inst, params);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error("solve_sap produced an infeasible solution: " +
-                           result.outcome.detail);
-  }
-  return result;
-}
-
-CertifiedSapSolve solve_sap_uniform_certified(
-    const PathInstance& inst, const SapUniformOptions& solver_options,
-    const CertifyOptions& options) {
-  CertifiedSapSolve result;
-  result.solution = solve_sap_uniform(inst, solver_options);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error(
-        "solve_sap_uniform produced an infeasible solution: " +
-        result.outcome.detail);
-  }
-  return result;
-}
-
-CertifiedRingSolve solve_ring_sap_certified(const RingInstance& inst,
-                                            const RingSolverParams& params,
-                                            const CertifyOptions& options) {
-  CertifiedRingSolve result;
-  result.solution = solve_ring_sap(inst, params);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error("solve_ring_sap produced an infeasible solution: " +
-                           result.outcome.detail);
-  }
-  return result;
+                                const LadderOptions& options) {
+  return certify(inst, sol, Certificate::Kind::kRing, options);
 }
 
 }  // namespace sap::cert

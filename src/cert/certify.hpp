@@ -1,5 +1,5 @@
 // Producer side of certification: turn a (instance, solution) pair into a
-// Certificate, and certified wrappers around the solver entry points.
+// Certificate.
 //
 // certify_solution re-verifies feasibility with the library verifier (the
 // FeasibilityCertificate: the solution itself is the witness, re-checked
@@ -12,18 +12,11 @@
 
 #include "src/cert/certificate.hpp"
 #include "src/cert/ladder.hpp"
-#include "src/core/ring_solver.hpp"
-#include "src/core/sap_solver.hpp"
 #include "src/model/path_instance.hpp"
 #include "src/model/ring_instance.hpp"
 #include "src/model/solution.hpp"
-#include "src/sapu/sapu_solver.hpp"
 
 namespace sap::cert {
-
-struct CertifyOptions {
-  LadderOptions ladder;
-};
 
 /// Outcome of certifying one solution. `feasible` is the feasibility
 /// certificate verdict; when false (or when the ladder cannot prove any
@@ -36,38 +29,12 @@ struct CertifyOutcome {
   LadderResult ladder;
 };
 
-/// Certifies an existing path solution.
-[[nodiscard]] CertifyOutcome certify_solution(const PathInstance& inst,
-                                              const SapSolution& sol,
-                                              const CertifyOptions& options = {});
-
-/// Certifies an existing ring solution.
-[[nodiscard]] CertifyOutcome certify_solution(const RingInstance& inst,
-                                              const RingSapSolution& sol,
-                                              const CertifyOptions& options = {});
-
-/// A solve plus its certificate. The wrappers throw std::logic_error if the
-/// solver emits an infeasible solution (a library bug by contract).
-struct CertifiedSapSolve {
-  SapSolution solution;
-  CertifyOutcome outcome;
-};
-
-struct CertifiedRingSolve {
-  RingSapSolution solution;
-  CertifyOutcome outcome;
-};
-
-[[nodiscard]] CertifiedSapSolve solve_sap_certified(
-    const PathInstance& inst, const SolverParams& params = {},
-    const CertifyOptions& options = {});
-
-[[nodiscard]] CertifiedSapSolve solve_sap_uniform_certified(
-    const PathInstance& inst, const SapUniformOptions& solver_options = {},
-    const CertifyOptions& options = {});
-
-[[nodiscard]] CertifiedRingSolve solve_ring_sap_certified(
-    const RingInstance& inst, const RingSolverParams& params = {},
-    const CertifyOptions& options = {});
+/// Certifies an existing path or ring solution.
+[[nodiscard]] CertifyOutcome certify_solution(
+    const PathInstance& inst, const SapSolution& sol,
+    const LadderOptions& options = {});
+[[nodiscard]] CertifyOutcome certify_solution(
+    const RingInstance& inst, const RingSapSolution& sol,
+    const LadderOptions& options = {});
 
 }  // namespace sap::cert

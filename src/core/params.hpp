@@ -52,10 +52,9 @@ struct SolverParams {
   /// header cycle; matches ElevatorMode's enumerator order.)
   int elevator_mode = 0;
 
-  /// Use the grounded-heights heuristic in the medium DP when capacities
-  /// are too tall for the exact sweep (keeps runtime polynomial-ish at the
-  /// cost of exactness inside each class).
-  bool medium_allow_heuristic = true;
+  /// Band capacity above which the medium DP uses the grounded-heights
+  /// heuristic instead of the exact sweep (keeps runtime polynomial-ish at
+  /// the cost of exactness inside each class).
   Value medium_exact_capacity_limit = 512;
 
   /// Node budget for the large-task rectangle MWIS branch-and-bound.

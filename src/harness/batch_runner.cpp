@@ -62,7 +62,7 @@ double certified_ratio(const cert::Certificate& cert) {
 /// One ladder run: the certificate's bound doubles as the ratio bound.
 template <typename Instance, typename Solution>
 void certify_case(const Instance& inst, const Solution& sol,
-                  const cert::CertifyOptions& options,
+                  const cert::LadderOptions& options,
                   const cert::CheckOptions& check, BatchCase* out) {
   cert::CertifyOutcome outcome;
   {
@@ -85,25 +85,6 @@ void certify_case(const Instance& inst, const Solution& sol,
 
 }  // namespace
 
-void BatchResumeStore::attach(BatchOptions& options) {
-  options.load_case = [this](std::size_t i, BatchCase* c) {
-    std::lock_guard lock(mutex_);
-    const auto it = done_.find(i);
-    if (it == done_.end()) return false;
-    *c = it->second;
-    return true;
-  };
-  options.save_case = [this](std::size_t i, const BatchCase& c) {
-    std::lock_guard lock(mutex_);
-    done_.insert_or_assign(i, c);
-  };
-}
-
-std::size_t BatchResumeStore::size() const {
-  std::lock_guard lock(mutex_);
-  return done_.size();
-}
-
 BatchReport run_batch(const BatchOptions& options, const BatchCaseFn& fn,
                       ThreadPool& pool) {
   BatchReport out;
@@ -116,31 +97,19 @@ BatchReport run_batch(const BatchOptions& options, const BatchCaseFn& fn,
   pool.parallel_for(options.num_instances, [&](std::size_t i) {
     const std::uint64_t seed = batch_case_seed(options.base_seed, i);
     BatchCase c;
-    if (options.load_case && options.load_case(i, &c)) {
-      // Completed by a previous (interrupted) run; reuse verbatim. The
-      // aggregate stays deterministic because the record is the pure
-      // function of (i, seed) the first run already computed. (No counter
-      // is bumped here: resumed and uninterrupted sweeps must aggregate to
-      // byte-identical reports.)
-      cases[i] = std::move(c);
-      return;
-    }
     TelemetryReport collected;
     const auto case_start = Clock::now();
-    if (options.collect_telemetry) {
+    {
       TelemetrySession session(&collected);
-      c = fn(i, seed);
-    } else {
       c = fn(i, seed);
     }
     c.seconds = seconds_since(case_start);
     // Allocator counters record whether the executing thread's arena was
     // warm — a scheduling fact, not a property of the case — so they are
     // dropped from records that must aggregate byte-identically across
-    // thread counts and resumes.
+    // thread counts.
     collected.drop_counters_with_prefix("alloc.");
     c.telemetry.merge(collected);
-    if (options.save_case) options.save_case(i, c);
     cases[i] = std::move(c);
   });
   out.total_seconds = seconds_since(sweep_start);
@@ -289,10 +258,8 @@ BatchCaseFn make_path_batch_case(const PathBatchConfig& config) {
     if (!verify_sap(inst, sol)) return out;
     out.feasible = true;
     if (config.certify) {
-      cert::CertifyOptions copts;
-      copts.ladder = config.bound.ladder();
       out.algo_weight = sol.weight(inst);
-      certify_case(inst, sol, copts, config.check, &out);
+      certify_case(inst, sol, config.bound, config.check, &out);
       out.bound_exact =
           out.certified && out.cert_rung == cert::UbRung::kExactDp;
       return out;
@@ -350,7 +317,7 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
       certify_case(ring, sol, {}, config.check, &out);
     } else {
       ScopedTimer timer("batch.bound");
-      const RatioMeasurement m = measure_ring_ratio(ring, sol);
+      const RatioMeasurement m = measure_ratio(ring, sol);
       out.algo_weight = m.algo_weight;
       out.bound = m.bound;
       out.bound_exact = m.bound_exact;

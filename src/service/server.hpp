@@ -93,7 +93,7 @@ struct ServerOptions {
                          .max_placements = 1'000'000};
   /// Ladder/certification knobs applied when a request opts into a
   /// certificate ("certify 1"). Defaults keep per-request cert cost bounded.
-  cert::CertifyOptions certify;
+  cert::LadderOptions certify;
   /// Oracle knobs for `algo exact` requests (the exponential profile DP).
   SapExactOptions exact{.max_states = 5'000'000};
   /// Server-side default solve budget applied when a request carries no

@@ -300,8 +300,8 @@ void run_family(const SolveRequest& request, const ServerOptions& options,
         // telemetry_json) and the request's wall time. Rungs share the
         // request deadline: one that times out is skipped and the ladder
         // falls through to a cheaper bound.
-        cert::CertifyOptions certify = options.certify;
-        certify.ladder.deadline = certify.ladder.deadline.min(deadline);
+        cert::LadderOptions certify = options.certify;
+        certify.deadline = certify.deadline.min(deadline);
         const cert::CertifyOutcome outcome =
             cert::certify_solution(inst, sol, certify);
         for (const cert::LadderRungAttempt& attempt :

@@ -5,8 +5,10 @@
 // solutions, mismatched kinds) are rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 #include "src/cert/certify.hpp"
 #include "src/cert/check.hpp"
@@ -15,6 +17,7 @@
 #include "src/core/sap_solver.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
+#include "src/harness/ratio_harness.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/sapu/sapu_solver.hpp"
 
@@ -125,10 +128,115 @@ TEST(LadderTest, RingLadderBoundsTheRingSolver) {
     const RingInstance ring = tiny_ring(seed);
     const RingSapSolution sol = solve_ring_sap(ring);
     ASSERT_TRUE(verify_ring_sap(ring, sol)) << "seed " << seed;
-    const cert::LadderResult ladder = cert::run_ring_upper_bound_ladder(ring);
+    const cert::LadderResult ladder = cert::run_upper_bound_ladder(ring);
     ASSERT_TRUE(ladder.proven) << "seed " << seed;
     EXPECT_GE(ladder.best.value, ring.solution_weight(sol)) << "seed " << seed;
   }
+}
+
+TEST(LadderTest, RingLadderAttemptsNoExactRung) {
+  // The exact rungs are path-only: a ring ladder tries lp_dual, and
+  // total_weight only when lp_dual fails, whatever the options ask for.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const RingInstance ring = tiny_ring(seed);
+    for (const cert::LadderOptions& options :
+         {cert::LadderOptions{}, only_rung(cert::UbRung::kExactDp),
+          only_rung(cert::UbRung::kUfppBnb)}) {
+      const cert::LadderResult ladder =
+          cert::run_upper_bound_ladder(ring, options);
+      ASSERT_TRUE(ladder.proven) << "seed " << seed;
+      ASSERT_FALSE(ladder.attempts.empty());
+      EXPECT_EQ(ladder.attempts.front().rung, cert::UbRung::kLpDual);
+      for (const cert::LadderRungAttempt& attempt : ladder.attempts) {
+        EXPECT_NE(attempt.rung, cert::UbRung::kExactDp) << "seed " << seed;
+        EXPECT_NE(attempt.rung, cert::UbRung::kUfppBnb) << "seed " << seed;
+      }
+      if (ladder.best.rung == cert::UbRung::kLpDual) {
+        EXPECT_EQ(ladder.attempts.size(), 1u) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(LadderTest, MeasurementLadderNeverAttemptsUfppBnb) {
+  // Too tall for the exact rung, few enough tasks for ufpp_bnb: the
+  // certification ladder proves the bound with ufpp_bnb, while
+  // measure_ratio's default ladder goes straight to lp_dual.
+  PathGenOptions gen = tiny_gen();
+  gen.num_tasks = 12;
+  gen.min_capacity = 60;
+  gen.max_capacity = 100;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const PathInstance inst = generate_path_instance(gen, rng);
+    const cert::LadderOptions defaults;
+    ASSERT_GT(inst.max_capacity(), defaults.exact_dp_max_capacity);
+    ASSERT_LE(inst.num_tasks(), defaults.bnb_max_tasks);
+
+    const cert::LadderResult certified = cert::run_upper_bound_ladder(inst);
+    ASSERT_TRUE(certified.proven);
+    EXPECT_EQ(certified.best.rung, cert::UbRung::kUfppBnb) << "seed " << seed;
+
+    const cert::LadderResult measured =
+        cert::run_upper_bound_ladder(inst, measurement_ladder());
+    ASSERT_TRUE(measured.proven);
+    for (const cert::LadderRungAttempt& attempt : measured.attempts) {
+      EXPECT_FALSE(attempt.rung == cert::UbRung::kUfppBnb &&
+                   attempt.applicable)
+          << "seed " << seed << ": measurement ladder ran ufpp_bnb";
+    }
+
+    const SapSolution sol = solve_sap(inst);
+    const RatioMeasurement m = measure_ratio(inst, sol);
+    EXPECT_EQ(m.bound_rung, measured.best.rung) << "seed " << seed;
+    EXPECT_EQ(m.bound_rung, cert::UbRung::kLpDual) << "seed " << seed;
+    EXPECT_FALSE(m.bound_exact);
+  }
+}
+
+TEST(LadderTest, ExpiredDeadlineFallsBackWithoutWalkingTaskSpans) {
+  // 12000 tasks on 12000 edges. With the deadline already past, lp_dual must
+  // stop at its first deadline poll and total_weight must answer, in time
+  // linear in n + m: tasks spanning the whole path (sum of spans 1.44e8)
+  // must cost about what one-edge tasks cost. A ladder that walked every
+  // span first would copy ~0.5 GB of edge ids for the long spans.
+  constexpr std::size_t kSize = 12'000;
+  cert::LadderOptions options;
+  options.deadline =
+      Deadline::at(Deadline::Clock::now() - std::chrono::seconds(1));
+  const auto fastest_ladder = [&](EdgeId last) {
+    std::vector<Task> tasks(kSize);
+    Weight total = 0;
+    for (std::size_t j = 0; j < kSize; ++j) {
+      const auto w = static_cast<Weight>(1 + j % 7);
+      tasks[j] = {0, last, 1, w};
+      total += w;
+    }
+    const PathInstance inst(std::vector<Value>(kSize, 1'000'000),
+                            std::move(tasks));
+    auto fastest = std::chrono::steady_clock::duration::max();
+    for (int run = 0; run < 3; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      const cert::LadderResult ladder =
+          cert::run_upper_bound_ladder(inst, options);
+      fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+
+      EXPECT_TRUE(ladder.proven);
+      EXPECT_EQ(ladder.best.rung, cert::UbRung::kTotalWeight);
+      EXPECT_EQ(ladder.best.value, total);
+      EXPECT_EQ(ladder.attempts.size(), 4u);
+      if (ladder.attempts.size() != 4u) break;
+      EXPECT_FALSE(ladder.attempts[0].applicable);  // exact_dp: n over cap
+      EXPECT_FALSE(ladder.attempts[1].applicable);  // ufpp_bnb: n over cap
+      EXPECT_EQ(ladder.attempts[2].rung, cert::UbRung::kLpDual);
+      EXPECT_TRUE(ladder.attempts[2].timed_out);
+      EXPECT_FALSE(ladder.attempts[2].proved);
+    }
+    return fastest;
+  };
+  const auto one_edge = fastest_ladder(0);
+  const auto whole_path = fastest_ladder(static_cast<EdgeId>(kSize - 1));
+  EXPECT_LT(whole_path, 4 * one_edge + std::chrono::milliseconds(2));
 }
 
 // --- Producer + independent checker ----------------------------------------
@@ -151,25 +259,25 @@ TEST(CertifyTest, SolverProducedCertificatesPassTheChecker) {
 }
 
 TEST(CertifyTest, CertifiedWrappersRoundTrip) {
+  // Each solver entry point, then certify_solution, then the checker.
   const PathInstance inst = tiny_instance(7);
-  const cert::CertifiedSapSolve full = cert::solve_sap_certified(inst);
-  ASSERT_TRUE(full.outcome.certified) << full.outcome.detail;
-  EXPECT_TRUE(
-      cert::check_certificate(inst, full.solution, full.outcome.cert).valid);
+  const SapSolution full = solve_sap(inst);
+  const cert::CertifyOutcome full_outcome = cert::certify_solution(inst, full);
+  ASSERT_TRUE(full_outcome.certified) << full_outcome.detail;
+  EXPECT_TRUE(cert::check_certificate(inst, full, full_outcome.cert).valid);
 
-  const cert::CertifiedSapSolve uniform =
-      cert::solve_sap_uniform_certified(inst);
-  ASSERT_TRUE(uniform.outcome.certified) << uniform.outcome.detail;
+  const SapSolution uniform = solve_sap_uniform(inst);
+  const cert::CertifyOutcome uniform_outcome =
+      cert::certify_solution(inst, uniform);
+  ASSERT_TRUE(uniform_outcome.certified) << uniform_outcome.detail;
   EXPECT_TRUE(
-      cert::check_certificate(inst, uniform.solution, uniform.outcome.cert)
-          .valid);
+      cert::check_certificate(inst, uniform, uniform_outcome.cert).valid);
 
   const RingInstance ring = tiny_ring(7);
-  const cert::CertifiedRingSolve rsolve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(rsolve.outcome.certified) << rsolve.outcome.detail;
-  EXPECT_TRUE(
-      cert::check_certificate(ring, rsolve.solution, rsolve.outcome.cert)
-          .valid);
+  const RingSapSolution rsol = solve_ring_sap(ring);
+  const cert::CertifyOutcome ring_outcome = cert::certify_solution(ring, rsol);
+  ASSERT_TRUE(ring_outcome.certified) << ring_outcome.detail;
+  EXPECT_TRUE(cert::check_certificate(ring, rsol, ring_outcome.cert).valid);
 }
 
 TEST(CertifyTest, EmptySolutionGetsNoFiniteRatio) {
@@ -209,10 +317,8 @@ class MutationTest : public ::testing::Test {
 
     // A second certificate pinned to the lp_dual rung, for dual-witness
     // mutations.
-    cert::CertifyOptions lp_only;
-    lp_only.ladder = only_rung(cert::UbRung::kLpDual);
-    const cert::CertifyOutcome lp_outcome =
-        cert::certify_solution(inst_, sol_, lp_only);
+    const cert::CertifyOutcome lp_outcome = cert::certify_solution(
+        inst_, sol_, only_rung(cert::UbRung::kLpDual));
     ASSERT_TRUE(lp_outcome.certified) << lp_outcome.detail;
     ASSERT_EQ(lp_outcome.cert.ub.rung, cert::UbRung::kLpDual);
     lp_cert_ = lp_outcome.cert;
@@ -352,34 +458,33 @@ TEST(CheckTest, ExactRungBeyondVerifierBudgetIsUnverifiable) {
 
 TEST(CheckTest, RingCertificateRejectsExactRungs) {
   const RingInstance ring = tiny_ring(3);
-  const cert::CertifiedRingSolve solve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(solve.outcome.certified) << solve.outcome.detail;
-  cert::Certificate c = solve.outcome.cert;
+  const RingSapSolution sol = solve_ring_sap(ring);
+  const cert::CertifyOutcome outcome = cert::certify_solution(ring, sol);
+  ASSERT_TRUE(outcome.certified) << outcome.detail;
+  cert::Certificate c = outcome.cert;
   c.ub.rung = cert::UbRung::kExactDp;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 }
 
 TEST(CheckTest, RingMutationsAreRejected) {
   const RingInstance ring = tiny_ring(9);
-  const cert::CertifiedRingSolve solve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(solve.outcome.certified) << solve.outcome.detail;
-  ASSERT_TRUE(
-      cert::check_certificate(ring, solve.solution, solve.outcome.cert)
-          .valid);
+  const RingSapSolution sol = solve_ring_sap(ring);
+  const cert::CertifyOutcome outcome = cert::certify_solution(ring, sol);
+  ASSERT_TRUE(outcome.certified) << outcome.detail;
+  ASSERT_TRUE(cert::check_certificate(ring, sol, outcome.cert).valid);
 
-  cert::Certificate c = solve.outcome.cert;
+  cert::Certificate c = outcome.cert;
   c.solution_weight += 1;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 
-  c = solve.outcome.cert;
+  c = outcome.cert;
   c.kind = cert::Certificate::Kind::kPath;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 
-  if (!solve.solution.placements.empty()) {
-    RingSapSolution bad = solve.solution;
+  if (!sol.placements.empty()) {
+    RingSapSolution bad = sol;
     bad.placements.push_back(bad.placements.front());
-    EXPECT_FALSE(
-        cert::check_certificate(ring, bad, solve.outcome.cert).valid);
+    EXPECT_FALSE(cert::check_certificate(ring, bad, outcome.cert).valid);
   }
 }
 
@@ -390,10 +495,8 @@ TEST(CertifyTest, CertificateSurvivesTextRoundTrip) {
   const SapSolution sol = solve_sap(inst);
 
   // Pin the lp_dual rung so the round-trip covers the dual witness too.
-  cert::CertifyOptions lp_only;
-  lp_only.ladder = only_rung(cert::UbRung::kLpDual);
   const cert::CertifyOutcome outcome =
-      cert::certify_solution(inst, sol, lp_only);
+      cert::certify_solution(inst, sol, only_rung(cert::UbRung::kLpDual));
   ASSERT_TRUE(outcome.certified) << outcome.detail;
 
   std::stringstream ss;
